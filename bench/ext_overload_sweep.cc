@@ -130,7 +130,6 @@ main()
                 // retransmission amplification, the collapse mechanism.
                 sc.phoneResponseTimeout = sim::msecs(1500);
                 sc.phoneRetryBackoffCap = sim::secs(2);
-                sc.sampleInterval = sim::msecs(200);
                 // Short linger so the transaction table reflects
                 // *outstanding* work, not absorbed history.
                 sc.proxy.txnLinger = sim::msecs(200);

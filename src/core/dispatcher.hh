@@ -26,6 +26,7 @@
 #define SIPROX_CORE_DISPATCHER_HH
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -39,6 +40,7 @@
 #include "sim/machine.hh"
 #include "sip/message.hh"
 #include "sip/parser.hh"
+#include "stats/field_table.hh"
 
 namespace siprox::core {
 
@@ -81,7 +83,8 @@ struct DispatcherConfig
     CostModel costs;
 };
 
-/** Dispatcher counters (monotonic; read by the runner and benches). */
+/** Dispatcher counters (monotonic; read by the runner and benches).
+ *  Every scalar field needs an entry in kDispatcherFields below. */
 struct DispatcherStats
 {
     std::uint64_t messagesIn = 0;
@@ -96,6 +99,27 @@ struct DispatcherStats
     /** Requests routed to each instance (balance accounting). */
     std::vector<std::uint64_t> toInstance;
 };
+
+/**
+ * Every scalar DispatcherStats field, in digest order (all of them sit
+ * in the digest's cluster block as disp<Name>). Digests, metrics and
+ * telemetry (disp.<name>) are generated from this table; toInstance
+ * is reported per instance.
+ */
+inline constexpr stats::Field<DispatcherStats> kDispatcherFields[] = {
+    {"messagesIn", &DispatcherStats::messagesIn},
+    {"requestsRouted", &DispatcherStats::requestsRouted},
+    {"responsesRouted", &DispatcherStats::responsesRouted},
+    {"registersRouted", &DispatcherStats::registersRouted},
+    {"peekFailures", &DispatcherStats::peekFailures},
+    {"dropsNoRoute", &DispatcherStats::dropsNoRoute},
+    {"clientConnsAccepted", &DispatcherStats::clientConnsAccepted},
+};
+static_assert(sizeof(DispatcherStats)
+                  == std::size(kDispatcherFields) * sizeof(std::uint64_t)
+                      + sizeof(DispatcherStats::toInstance),
+              "every DispatcherStats field needs a kDispatcherFields "
+              "entry");
 
 /**
  * The front-end machine. Construct with its own machine and host, then

@@ -8,6 +8,7 @@
 #define SIPROX_CORE_SHARED_HH
 
 #include <cstdint>
+#include <iterator>
 
 #include "core/conn_table.hh"
 #include "core/hopctl.hh"
@@ -15,10 +16,12 @@
 #include "core/overload.hh"
 #include "core/registrar.hh"
 #include "core/txn_table.hh"
+#include "stats/field_table.hh"
 
 namespace siprox::core {
 
-/** Aggregate proxy counters (monotonic; read by tests and benches). */
+/** Aggregate proxy counters (monotonic; read by tests and benches).
+ *  Every field needs an entry in kProxyCounterFields below. */
 struct ProxyCounters
 {
     std::uint64_t messagesIn = 0;
@@ -74,57 +77,105 @@ struct ProxyCounters
     std::uint64_t locReplInstalls = 0; ///< replica bindings installed
 
     /** Field-wise accumulate (chain runs sum counters across hops). */
-    void
-    add(const ProxyCounters &o)
-    {
-        messagesIn += o.messagesIn;
-        requestsIn += o.requestsIn;
-        responsesIn += o.responsesIn;
-        forwards += o.forwards;
-        localReplies += o.localReplies;
-        parseErrors += o.parseErrors;
-        routeFailures += o.routeFailures;
-        retransAbsorbed += o.retransAbsorbed;
-        retransSent += o.retransSent;
-        retransTimeouts += o.retransTimeouts;
-        timerB408s += o.timerB408s;
-        registrations += o.registrations;
-        authChallenges += o.authChallenges;
-        authAccepted += o.authAccepted;
-        redirects += o.redirects;
-        connsAccepted += o.connsAccepted;
-        connsDestroyed += o.connsDestroyed;
-        fdRequests += o.fdRequests;
-        fdCacheHits += o.fdCacheHits;
-        fdCacheInvalidations += o.fdCacheInvalidations;
-        outboundConnects += o.outboundConnects;
-        sendsToDeadConns += o.sendsToDeadConns;
-        idleScans += o.idleScans;
-        idleScanVisited += o.idleScanVisited;
-        connsReturnedByWorkers += o.connsReturnedByWorkers;
-        connsStolen += o.connsStolen;
-        overloadRejected += o.overloadRejected;
-        overloadThrottled += o.overloadThrottled;
-        overloadPanicDrops += o.overloadPanicDrops;
-        overloadShedEnters += o.overloadShedEnters;
-        overloadShedExits += o.overloadShedExits;
-        tcpReadPauses += o.tcpReadPauses;
-        tcpReadResumes += o.tcpReadResumes;
-        tcpAcceptPauses += o.tcpAcceptPauses;
-        hopFeedbackSent += o.hopFeedbackSent;
-        hopFeedbackApplied += o.hopFeedbackApplied;
-        hopThrottleHolds += o.hopThrottleHolds;
-        hopThrottleRejects += o.hopThrottleRejects;
-        hopThrottleDrops += o.hopThrottleDrops;
-        hopGrantExpired += o.hopGrantExpired;
-        locLocalHits += o.locLocalHits;
-        locReplicaHits += o.locReplicaHits;
-        locMissForwards += o.locMissForwards;
-        locRegisterForwards += o.locRegisterForwards;
-        locReplPushes += o.locReplPushes;
-        locReplInstalls += o.locReplInstalls;
-    }
+    void add(const ProxyCounters &o);
 };
+
+/**
+ * Digest groups of a ProxyCounters field: the blocks of
+ * RunResult::digest() it appears in. Golden digests fix each block's
+ * layout, so the bits (and the table order) are part of the contract.
+ */
+enum ProxyDigest : unsigned
+{
+    kDigestRun = 1u << 0,     ///< run-wide block, always present
+    kDigestHopCtl = 1u << 1,  ///< hop-control block, if any is nonzero
+    kDigestLoc = 1u << 2,     ///< location block, cluster runs only
+    kDigestPerHop = 1u << 3,  ///< hop<i>.* blocks, chain runs only
+    kDigestPerInst = 1u << 4, ///< inst<i>.* blocks, cluster runs only
+};
+
+/**
+ * Every ProxyCounters field, in digest order. Sums, digests, metrics
+ * (proxy.<name>) and telemetry are generated from this table.
+ */
+inline constexpr stats::Field<ProxyCounters> kProxyCounterFields[] = {
+    {"messagesIn", &ProxyCounters::messagesIn,
+     kDigestRun | kDigestPerHop | kDigestPerInst},
+    {"requestsIn", &ProxyCounters::requestsIn, kDigestRun},
+    {"responsesIn", &ProxyCounters::responsesIn, kDigestRun},
+    {"forwards", &ProxyCounters::forwards,
+     kDigestRun | kDigestPerHop | kDigestPerInst},
+    {"localReplies", &ProxyCounters::localReplies,
+     kDigestRun | kDigestPerHop | kDigestPerInst},
+    {"parseErrors", &ProxyCounters::parseErrors, kDigestRun},
+    {"routeFailures", &ProxyCounters::routeFailures, kDigestRun},
+    {"retransAbsorbed", &ProxyCounters::retransAbsorbed,
+     kDigestRun | kDigestPerHop},
+    {"retransSent", &ProxyCounters::retransSent, kDigestRun},
+    {"retransTimeouts", &ProxyCounters::retransTimeouts, kDigestRun},
+    {"timerB408s", &ProxyCounters::timerB408s, kDigestRun | kDigestPerHop},
+    {"registrations", &ProxyCounters::registrations,
+     kDigestRun | kDigestPerInst},
+    {"authChallenges", &ProxyCounters::authChallenges, 0},
+    {"authAccepted", &ProxyCounters::authAccepted, 0},
+    {"redirects", &ProxyCounters::redirects, 0},
+    {"connsAccepted", &ProxyCounters::connsAccepted, kDigestRun},
+    {"connsDestroyed", &ProxyCounters::connsDestroyed, kDigestRun},
+    {"fdRequests", &ProxyCounters::fdRequests, 0},
+    {"fdCacheHits", &ProxyCounters::fdCacheHits, 0},
+    {"fdCacheInvalidations", &ProxyCounters::fdCacheInvalidations, 0},
+    {"outboundConnects", &ProxyCounters::outboundConnects, kDigestRun},
+    {"sendsToDeadConns", &ProxyCounters::sendsToDeadConns, 0},
+    {"idleScans", &ProxyCounters::idleScans, 0},
+    {"idleScanVisited", &ProxyCounters::idleScanVisited, 0},
+    {"connsReturnedByWorkers", &ProxyCounters::connsReturnedByWorkers, 0},
+    {"connsStolen", &ProxyCounters::connsStolen, 0},
+    {"overloadRejected", &ProxyCounters::overloadRejected,
+     kDigestRun | kDigestPerHop},
+    {"overloadThrottled", &ProxyCounters::overloadThrottled,
+     kDigestRun | kDigestPerHop},
+    {"overloadPanicDrops", &ProxyCounters::overloadPanicDrops,
+     kDigestRun | kDigestPerHop},
+    {"overloadShedEnters", &ProxyCounters::overloadShedEnters, kDigestRun},
+    {"overloadShedExits", &ProxyCounters::overloadShedExits, kDigestRun},
+    {"tcpReadPauses", &ProxyCounters::tcpReadPauses, kDigestRun},
+    {"tcpReadResumes", &ProxyCounters::tcpReadResumes, kDigestRun},
+    {"tcpAcceptPauses", &ProxyCounters::tcpAcceptPauses, kDigestRun},
+    {"hopFeedbackSent", &ProxyCounters::hopFeedbackSent,
+     kDigestHopCtl | kDigestPerHop},
+    {"hopFeedbackApplied", &ProxyCounters::hopFeedbackApplied,
+     kDigestHopCtl | kDigestPerHop},
+    {"hopThrottleHolds", &ProxyCounters::hopThrottleHolds,
+     kDigestHopCtl | kDigestPerHop},
+    {"hopThrottleRejects", &ProxyCounters::hopThrottleRejects,
+     kDigestHopCtl | kDigestPerHop},
+    {"hopThrottleDrops", &ProxyCounters::hopThrottleDrops,
+     kDigestHopCtl | kDigestPerHop},
+    {"hopGrantExpired", &ProxyCounters::hopGrantExpired,
+     kDigestHopCtl | kDigestPerHop},
+    {"locLocalHits", &ProxyCounters::locLocalHits,
+     kDigestLoc | kDigestPerInst},
+    {"locReplicaHits", &ProxyCounters::locReplicaHits,
+     kDigestLoc | kDigestPerInst},
+    {"locMissForwards", &ProxyCounters::locMissForwards,
+     kDigestLoc | kDigestPerInst},
+    {"locRegisterForwards", &ProxyCounters::locRegisterForwards, kDigestLoc},
+    {"locReplPushes", &ProxyCounters::locReplPushes,
+     kDigestLoc | kDigestPerInst},
+    {"locReplInstalls", &ProxyCounters::locReplInstalls,
+     kDigestLoc | kDigestPerInst},
+};
+static_assert(sizeof(ProxyCounters)
+                  == std::size(kProxyCounterFields)
+                      * sizeof(std::uint64_t),
+              "every ProxyCounters field needs a kProxyCounterFields "
+              "entry");
+
+inline void
+ProxyCounters::add(const ProxyCounters &o)
+{
+    stats::addFields(*this, o, kProxyCounterFields);
+}
 
 /** Everything in the proxy's shared memory. */
 struct SharedState

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -22,6 +23,7 @@
 #include "sim/machine.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "stats/field_table.hh"
 
 namespace siprox::net {
 
@@ -79,7 +81,8 @@ struct HostIoStats
     std::uint64_t bytesIn = 0;
 };
 
-/** Aggregate traffic counters, for tests and benches. */
+/** Aggregate traffic counters, for tests and benches. Every field
+ *  needs an entry in kNetStatsFields or kNetBatchFields below. */
 struct NetStats
 {
     std::uint64_t udpSent = 0;
@@ -120,6 +123,81 @@ struct NetStats
     std::uint64_t tcpBlackholed = 0;   ///< segments that never arrive
     std::uint64_t tcpRecoveries = 0;   ///< in-kernel loss recoveries
 };
+
+/**
+ * Digest groups of a NetStats field (RunResult::digest()): the
+ * traffic block is always present; the TLS and SST blocks only when
+ * that transport was in play.
+ */
+enum NetDigest : unsigned
+{
+    kNetDigestRun = 1u << 0,
+    kNetDigestTls = 1u << 1,
+    kNetDigestSst = 1u << 2,
+};
+
+/**
+ * Every std::uint64_t NetStats field, in digest order (sctpDropped
+ * before sctpAssocs; the fault aggregates before TLS and SST). Digests,
+ * metrics (net.<name>) and telemetry are generated from this table;
+ * kNetBatchFields covers the two BatchIoStats members.
+ */
+inline constexpr stats::Field<NetStats> kNetStatsFields[] = {
+    {"udpSent", &NetStats::udpSent, kNetDigestRun},
+    {"udpDelivered", &NetStats::udpDelivered, kNetDigestRun},
+    {"udpLost", &NetStats::udpLost, kNetDigestRun},
+    {"udpDropped", &NetStats::udpDropped, kNetDigestRun},
+    {"tcpConnects", &NetStats::tcpConnects, kNetDigestRun},
+    {"tcpRefused", &NetStats::tcpRefused, kNetDigestRun},
+    {"tcpSegments", &NetStats::tcpSegments, kNetDigestRun},
+    {"tcpBytes", &NetStats::tcpBytes, kNetDigestRun},
+    {"sctpMessages", &NetStats::sctpMessages, kNetDigestRun},
+    {"sctpDropped", &NetStats::sctpDropped, kNetDigestRun},
+    {"sctpAssocs", &NetStats::sctpAssocs, kNetDigestRun},
+    {"faultDropped", &NetStats::faultDropped, kNetDigestRun},
+    {"faultDuplicated", &NetStats::faultDuplicated, kNetDigestRun},
+    {"faultDelayed", &NetStats::faultDelayed, kNetDigestRun},
+    {"tcpFaultRefused", &NetStats::tcpFaultRefused, kNetDigestRun},
+    {"tcpRstInjected", &NetStats::tcpRstInjected, kNetDigestRun},
+    {"tcpBlackholed", &NetStats::tcpBlackholed, kNetDigestRun},
+    {"tcpRecoveries", &NetStats::tcpRecoveries, kNetDigestRun},
+    {"tlsConnects", &NetStats::tlsConnects, kNetDigestTls},
+    {"tlsHandshakesFull", &NetStats::tlsHandshakesFull, kNetDigestTls},
+    {"tlsHandshakesResumed", &NetStats::tlsHandshakesResumed, kNetDigestTls},
+    {"tlsZeroRttResumes", &NetStats::tlsZeroRttResumes, kNetDigestTls},
+    {"tlsSessionEvictions", &NetStats::tlsSessionEvictions, kNetDigestTls},
+    {"tlsHandshakeAborts", &NetStats::tlsHandshakeAborts, kNetDigestTls},
+    {"tlsRecords", &NetStats::tlsRecords, kNetDigestTls},
+    {"sstMessages", &NetStats::sstMessages, kNetDigestSst},
+    {"sstStreams", &NetStats::sstStreams, kNetDigestSst},
+    {"sstFrames", &NetStats::sstFrames, kNetDigestSst},
+    {"sstChannels", &NetStats::sstChannels, kNetDigestSst},
+    {"sstDropped", &NetStats::sstDropped, kNetDigestSst},
+    {"sstLost", &NetStats::sstLost, kNetDigestSst},
+};
+
+/** BatchIoStats scalars; keys join the member name in lowerCamel
+ *  (batchRecv + calls = batchRecvCalls). */
+inline constexpr stats::Field<BatchIoStats> kBatchIoFields[] = {
+    {"calls", &BatchIoStats::calls},
+    {"msgs", &BatchIoStats::messages},
+    {"maxDepth", &BatchIoStats::maxDepth},
+};
+
+/** The BatchIoStats members of NetStats, in digest order. */
+inline constexpr stats::Field<NetStats, BatchIoStats> kNetBatchFields[] = {
+    {"batchRecv", &NetStats::batchRecv},
+    {"batchSend", &NetStats::batchSend},
+};
+
+static_assert(sizeof(BatchIoStats)
+                  == std::size(kBatchIoFields) * sizeof(std::uint64_t)
+                      + sizeof(BatchIoStats::depth),
+              "every BatchIoStats scalar needs a kBatchIoFields entry");
+static_assert(sizeof(NetStats)
+                  == std::size(kNetStatsFields) * sizeof(std::uint64_t)
+                      + std::size(kNetBatchFields) * sizeof(BatchIoStats),
+              "every NetStats field needs a kNetStatsFields entry");
 
 /**
  * One machine's view of the network: its sockets and ports.

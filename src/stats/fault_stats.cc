@@ -1,17 +1,15 @@
 #include "stats/fault_stats.hh"
 
+#include <iterator>
+
+#include "stats/field_table.hh"
+
 namespace siprox::stats {
 
 namespace {
 
-/** Field list shared by table() and digest() so they never diverge. */
-struct Field
-{
-    const char *name;
-    std::uint64_t LinkFaultCounters::*member;
-};
-
-constexpr Field kFields[] = {
+/** Field list shared by total(), table() and digest(). */
+constexpr Field<LinkFaultCounters> kFields[] = {
     {"offered", &LinkFaultCounters::offered},
     {"lost", &LinkFaultCounters::lost},
     {"dup", &LinkFaultCounters::duplicated},
@@ -24,6 +22,9 @@ constexpr Field kFields[] = {
     {"stalled", &LinkFaultCounters::stalledDrops},
     {"recovered", &LinkFaultCounters::recoveries},
 };
+static_assert(sizeof(LinkFaultCounters)
+                  == std::size(kFields) * sizeof(std::uint64_t),
+              "every LinkFaultCounters field needs a kFields entry");
 
 } // namespace
 
@@ -44,10 +45,8 @@ LinkFaultCounters
 FaultStats::total() const
 {
     LinkFaultCounters sum;
-    for (const auto &[key, c] : links_) {
-        for (const auto &f : kFields)
-            sum.*(f.member) += c.*(f.member);
-    }
+    for (const auto &[key, c] : links_)
+        addFields(sum, c, kFields);
     return sum;
 }
 

@@ -15,6 +15,7 @@
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/trace.hh"
+#include "stats/field_table.hh"
 #include "stats/histogram.hh"
 #include "stats/timeseries.hh"
 
@@ -80,24 +81,6 @@ managerMain(sim::Process &p, Phases *phases,
 }
 
 /**
- * Occupancy sampler: records the proxy's transaction-table size and
- * queue depths at a fixed period over the measured phase, giving the
- * overload benches an onset time series.
- */
-sim::Task
-samplerMain(sim::Process &p, Phases *phases, core::Proxy *proxy,
-            sim::SimTime interval, std::vector<OccupancySample> *out)
-{
-    co_await phases->start.wait(p);
-    while (!phases->finished) {
-        out->push_back({p.sim().now(), proxy->shared().txns.size(),
-                        proxy->requestQueueDepth(),
-                        proxy->recvQueueDepth()});
-        co_await p.sleepFor(interval);
-    }
-}
-
-/**
  * Windowed-telemetry sampler: cuts a window at every multiple of the
  * window width from t=0 (registration included — the warmup phase is
  * part of the story). The final, partial window is flushed
@@ -107,7 +90,8 @@ samplerMain(sim::Process &p, Phases *phases, core::Proxy *proxy,
  */
 sim::Task
 telemetryMain(sim::Process &p, Phases *phases, sim::SimTime window,
-              const std::function<void(sim::SimTime)> *boundary)
+              const std::function<void()> *sample,
+              stats::TimeSeries *ts)
 {
     sim::SimTime next = window;
     for (;;) {
@@ -120,7 +104,9 @@ telemetryMain(sim::Process &p, Phases *phases, sim::SimTime window,
         // loop's coast to its next check produces no empty windows.
         if (phases->finished)
             co_return;
-        (*boundary)(p.sim().now());
+        (*sample)();
+        for (const auto &s : ts->series())
+            s->beginWindow(p.sim().now());
         next += window;
     }
 }
@@ -133,6 +119,82 @@ struct ServedWindow
     stats::LatencyHistogram hist;
     std::uint64_t servedTotal = 0;
 };
+
+using Phones = std::vector<std::unique_ptr<phone::Phone>>;
+
+/** Phone-fleet totals, summed once for telemetry and RunResult:
+ *  operations and call outcomes count at the callers (each
+ *  transaction once), retransmissions and reconnects at every phone. */
+struct PhoneTotals
+{
+    std::uint64_t ops = 0;
+    std::uint64_t callsCompleted = 0;
+    std::uint64_t callsFailed = 0;
+    std::uint64_t retransmissions = 0;
+    std::uint64_t reconnects = 0;
+    std::uint64_t reconnectFailures = 0;
+    std::uint64_t rejected503 = 0;
+    std::uint64_t backoffs = 0;
+    sim::SimTime lastOpDone = 0;
+};
+
+/** Telemetry's phone.<name> counters (the same names as the metrics). */
+constexpr stats::Field<PhoneTotals> kPhoneTotalFields[] = {
+    {"ops", &PhoneTotals::ops},
+    {"callsCompleted", &PhoneTotals::callsCompleted},
+    {"callsFailed", &PhoneTotals::callsFailed},
+    {"retransmissions", &PhoneTotals::retransmissions},
+    {"reconnects", &PhoneTotals::reconnects},
+    {"reconnectFailures", &PhoneTotals::reconnectFailures},
+    {"rejected503", &PhoneTotals::rejected503},
+    {"backoffs", &PhoneTotals::backoffs},
+};
+
+PhoneTotals
+sumPhones(const Phones &callers, const Phones &callees)
+{
+    PhoneTotals t;
+    for (const auto &ph : callers) {
+        const phone::PhoneStats &st = ph->stats();
+        t.ops += st.opsCompleted;
+        t.callsCompleted += st.callsCompleted;
+        t.callsFailed += st.callsFailed;
+        t.rejected503 += st.rejected503;
+        t.backoffs += st.backoffs;
+        t.lastOpDone = std::max(t.lastOpDone, st.lastOpDone);
+    }
+    for (const Phones *fleet : {&callers, &callees}) {
+        for (const auto &ph : *fleet) {
+            const phone::PhoneStats &st = ph->stats();
+            t.retransmissions += st.retransmissions;
+            t.reconnects += st.reconnects;
+            t.reconnectFailures += st.reconnectFailures;
+        }
+    }
+    return t;
+}
+
+/** Every NetStats counter as net.<name>, batch scalars included
+ *  (net.batchRecvCalls, ...). */
+template <class Emit>
+void
+emitNetStats(const net::NetStats &n, Emit &&emit)
+{
+    stats::emitFields(net::kNetStatsFields, n, "net.", emit);
+    for (const auto &b : net::kNetBatchFields) {
+        stats::emitFields(net::kBatchIoFields, n.*b.member,
+                          "net." + std::string(b.name), emit);
+    }
+}
+
+/** An emitFields sink that samples each field as a series counter. */
+auto
+counterSink(stats::Series &s)
+{
+    return [&s](std::string_view key, std::uint64_t v) {
+        s.counter(key, v);
+    };
+}
 
 /**
  * Machine-level telemetry shared by server and client series: CPU busy
@@ -172,6 +234,70 @@ sampleMachine(stats::Series &s, sim::Machine &m, const net::Host &h)
                               it->second.wait[w]));
             }
         }
+    }
+}
+
+/**
+ * Proxy telemetry: every ProxyCounters field as proxy.<name>, the
+ * socket-level drops, and the queue, table, overload-control,
+ * hop-gate, serve-latency and architecture gauges.
+ */
+void
+sampleProxy(stats::Series &s, core::Proxy &px, ServedWindow &sw)
+{
+    core::SharedState &sh = px.shared();
+    stats::emitFields(core::kProxyCounterFields, sh.counters, "proxy.",
+                      counterSink(s));
+    s.counter("queue.recvDrops", px.recvQueueDrops());
+    s.counter("accept.refused", px.acceptRefused());
+    s.counter("served.count", sw.servedTotal);
+
+    const core::ProxyConfig &cfg = px.config();
+    const auto txns = static_cast<double>(sh.txns.size());
+    const auto recv_depth = static_cast<double>(px.recvQueueDepth());
+    s.gauge("queue.request", static_cast<double>(px.requestQueueDepth()));
+    s.gauge("queue.recv", recv_depth);
+    s.gauge("txn.records", txns / 2.0); // two table keys per record
+    if (cfg.overload.txnTableCapacity > 0) {
+        s.gauge("occ.txnTable",
+                txns / static_cast<double>(cfg.overload.txnTableCapacity));
+    }
+    if (cfg.overload.recvQueueCapacity > 0) {
+        s.gauge("occ.recvQueue",
+                recv_depth
+                    / static_cast<double>(cfg.overload.recvQueueCapacity));
+    }
+    const core::OverloadController &oc = sh.overload;
+    s.gauge("overload.occupancy", oc.occupancySignal());
+    s.gauge("overload.latencyEwmaMs", sim::toMsecs(oc.latencyEwma()));
+    s.gauge("overload.rate", oc.currentRate());
+    s.gauge("overload.shedding", oc.shedding() ? 1.0 : 0.0);
+    s.gauge("hop.grantedRate", oc.hopGrantedRate());
+    s.gauge("hop.grantedWindow", static_cast<double>(oc.hopGrantedWindow()));
+    s.gauge("hop.on", oc.hopOn() ? 1.0 : 0.0);
+    if (cfg.nextHop.valid()) {
+        const core::HopThrottleTable &gate = sh.hopGate;
+        s.gauge("hopgate.rateToNext", gate.grantedRate(cfg.nextHop));
+        s.gauge("hopgate.windowToNext",
+                static_cast<double>(gate.grantedWindow(cfg.nextHop)));
+        s.gauge("hopgate.pendingToNext",
+                static_cast<double>(gate.pendingToward(cfg.nextHop)));
+    }
+    if (sw.hist.count() > 0) {
+        s.gauge("latency.meanMs", sim::toMsecs(sw.hist.mean()));
+        s.gauge("latency.p50Ms", sim::toMsecs(sw.hist.percentileMid(0.5)));
+        s.gauge("latency.p95Ms", sim::toMsecs(sw.hist.percentileMid(0.95)));
+        s.gauge("latency.p99Ms", sim::toMsecs(sw.hist.percentileMid(0.99)));
+        s.gauge("latency.p999Ms",
+                sim::toMsecs(sw.hist.percentileMid(0.999)));
+        s.gauge("latency.maxMs", sim::toMsecs(sw.hist.max()));
+    }
+    sw.hist.reset();
+    if (const core::ServerArch *arch = px.arch()) {
+        std::vector<core::ArchGauge> gauges;
+        arch->appendTelemetryGauges(gauges);
+        for (const core::ArchGauge &g : gauges)
+            s.gauge(g.name, g.value);
     }
 }
 
@@ -272,7 +398,6 @@ runScenario(const Scenario &sc)
     std::vector<sim::Machine *> profiled = topo.profiledMachines();
     net::Host &server_host = topo.faultHost(); // what phones talk to
     core::Proxy &proxy = topo.edge();          // edge: callers
-    core::Proxy &dest_proxy = topo.dest();     // destination: callees
 
     std::vector<sim::Machine *> client_machines;
     std::vector<net::Host *> client_hosts;
@@ -313,11 +438,11 @@ runScenario(const Scenario &sc)
     const int calls_per_client = sc.measureWindow > 0
         ? INT_MAX / 4
         : sc.callsPerClient;
-    std::vector<std::unique_ptr<phone::Phone>> callers, callees;
+    Phones callers, callees;
     callers.reserve(static_cast<std::size_t>(sc.clients));
     callees.reserve(static_cast<std::size_t>(sc.clients));
     for (int i = 0; i < sc.clients; ++i) {
-        int m = i % sc.clientMachines;
+        const auto m = static_cast<std::size_t>(i % sc.clientMachines);
         auto mk_cfg = [&](const std::string &user, std::uint16_t port,
                           net::Addr proxy_addr) {
             phone::PhoneConfig cfg;
@@ -335,16 +460,14 @@ runScenario(const Scenario &sc)
         // (their home proxy) so only requests traverse the chain and
         // registrations stay local to each hop.
         callees.push_back(std::make_unique<phone::Phone>(
-            *client_machines[static_cast<std::size_t>(m)],
-            *client_hosts[static_cast<std::size_t>(m)],
+            *client_machines[m], *client_hosts[m],
             mk_cfg("c" + std::to_string(i),
                    static_cast<std::uint16_t>(16000 + i),
                    topo.calleeEntry())));
         callees.back()->startCallee(calls_per_client,
                                     &phases.registered, nullptr);
         callers.push_back(std::make_unique<phone::Phone>(
-            *client_machines[static_cast<std::size_t>(m)],
-            *client_hosts[static_cast<std::size_t>(m)],
+            *client_machines[m], *client_hosts[m],
             mk_cfg("a" + std::to_string(i),
                    static_cast<std::uint16_t>(6000 + i),
                    topo.callerEntry())));
@@ -360,18 +483,6 @@ runScenario(const Scenario &sc)
                                client_machines);
         });
 
-    // The sampler watches the destination: in a chain it is the
-    // bottleneck whose signals drive the feedback (single proxy: the
-    // only one).
-    std::vector<OccupancySample> occupancy;
-    if (sc.sampleInterval > 0) {
-        client_machines[0]->spawn(
-            "sampler", 0, [&](sim::Process &p) {
-                return samplerMain(p, &phases, &dest_proxy,
-                                   sc.sampleInterval, &occupancy);
-            });
-    }
-
     // Windowed telemetry (Scenario::telemetry): one series per proxy
     // hop and per client machine, plus phone-fleet and network-fabric
     // pseudo-series. Everything below — including the sampler process
@@ -382,10 +493,8 @@ runScenario(const Scenario &sc)
     stats::Series *phone_series = nullptr;
     stats::Series *disp_series = nullptr;
     stats::Series *net_series = nullptr;
-    std::vector<stats::Series *> all_series;
     std::vector<ServedWindow> served(proxies.size());
-    std::function<void(sim::SimTime)> telemetry_sample;
-    std::function<void(sim::SimTime)> telemetry_boundary;
+    std::function<void()> telemetry_sample;
     if (sc.telemetry.enabled()) {
         const char *transport =
             core::transportName(sc.proxy.transport);
@@ -419,131 +528,12 @@ runScenario(const Scenario &sc)
         }
         phone_series = &telemetry->add("phones", -1, "", transport);
         net_series = &telemetry->add("net", -1, "", transport);
-        for (stats::Series *s : hop_series)
-            all_series.push_back(s);
-        if (disp_series)
-            all_series.push_back(disp_series);
-        for (stats::Series *s : client_series)
-            all_series.push_back(s);
-        all_series.push_back(phone_series);
-        all_series.push_back(net_series);
 
-        telemetry_sample = [&](sim::SimTime) {
+        telemetry_sample = [&] {
             for (std::size_t i = 0; i < proxies.size(); ++i) {
-                stats::Series &s = *hop_series[i];
-                core::Proxy &px = *proxies[i];
-                sampleMachine(s, *server_machines[i],
+                sampleMachine(*hop_series[i], *server_machines[i],
                               *server_hosts[i]);
-                const core::ProxyCounters &c =
-                    px.shared().counters;
-                s.counter("proxy.messagesIn", c.messagesIn);
-                s.counter("proxy.requestsIn", c.requestsIn);
-                s.counter("proxy.responsesIn", c.responsesIn);
-                s.counter("proxy.forwards", c.forwards);
-                s.counter("proxy.localReplies", c.localReplies);
-                s.counter("proxy.retransAbsorbed",
-                          c.retransAbsorbed);
-                s.counter("proxy.retransSent", c.retransSent);
-                s.counter("proxy.fdRequests", c.fdRequests);
-                s.counter("proxy.fdCacheHits", c.fdCacheHits);
-                s.counter("proxy.connsAccepted", c.connsAccepted);
-                s.counter("proxy.outboundConnects",
-                          c.outboundConnects);
-                s.counter("proxy.overloadRejected",
-                          c.overloadRejected);
-                s.counter("proxy.overloadThrottled",
-                          c.overloadThrottled);
-                s.counter("proxy.overloadPanicDrops",
-                          c.overloadPanicDrops);
-                s.counter("proxy.hopFeedbackSent",
-                          c.hopFeedbackSent);
-                s.counter("proxy.hopThrottleHolds",
-                          c.hopThrottleHolds);
-                s.counter("proxy.hopThrottleRejects",
-                          c.hopThrottleRejects);
-                s.counter("queue.recvDrops", px.recvQueueDrops());
-                s.counter("accept.refused", px.acceptRefused());
-                s.counter("served.count", served[i].servedTotal);
-                if (topo.cluster()) {
-                    s.counter("loc.localHits", c.locLocalHits);
-                    s.counter("loc.replicaHits", c.locReplicaHits);
-                    s.counter("loc.missForwards", c.locMissForwards);
-                    s.counter("loc.replPushes", c.locReplPushes);
-                    s.counter("loc.replInstalls", c.locReplInstalls);
-                }
-
-                const core::ProxyConfig &cfg = px.config();
-                core::SharedState &sh = px.shared();
-                s.gauge("queue.request",
-                        static_cast<double>(
-                            px.requestQueueDepth()));
-                s.gauge("queue.recv",
-                        static_cast<double>(px.recvQueueDepth()));
-                // Two table keys per transaction record.
-                s.gauge("txn.records",
-                        static_cast<double>(sh.txns.size()) / 2.0);
-                if (cfg.overload.txnTableCapacity > 0) {
-                    s.gauge("occ.txnTable",
-                            static_cast<double>(sh.txns.size())
-                                / static_cast<double>(
-                                    cfg.overload.txnTableCapacity));
-                }
-                if (cfg.overload.recvQueueCapacity > 0) {
-                    s.gauge("occ.recvQueue",
-                            static_cast<double>(px.recvQueueDepth())
-                                / static_cast<double>(
-                                    cfg.overload
-                                        .recvQueueCapacity));
-                }
-                const core::OverloadController &oc = sh.overload;
-                s.gauge("overload.occupancy", oc.occupancySignal());
-                s.gauge("overload.latencyEwmaMs",
-                        sim::toMsecs(oc.latencyEwma()));
-                s.gauge("overload.rate", oc.currentRate());
-                s.gauge("overload.shedding",
-                        oc.shedding() ? 1.0 : 0.0);
-                s.gauge("hop.grantedRate", oc.hopGrantedRate());
-                s.gauge("hop.grantedWindow",
-                        static_cast<double>(oc.hopGrantedWindow()));
-                s.gauge("hop.on", oc.hopOn() ? 1.0 : 0.0);
-                if (cfg.nextHop.valid()) {
-                    s.gauge("hopgate.rateToNext",
-                            sh.hopGate.grantedRate(cfg.nextHop));
-                    s.gauge("hopgate.windowToNext",
-                            static_cast<double>(
-                                sh.hopGate.grantedWindow(
-                                    cfg.nextHop)));
-                    s.gauge("hopgate.pendingToNext",
-                            static_cast<double>(
-                                sh.hopGate.pendingToward(
-                                    cfg.nextHop)));
-                }
-                ServedWindow &sw = served[i];
-                if (sw.hist.count() > 0) {
-                    s.gauge("latency.meanMs",
-                            sim::toMsecs(sw.hist.mean()));
-                    s.gauge("latency.p50Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.5)));
-                    s.gauge("latency.p95Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.95)));
-                    s.gauge("latency.p99Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.99)));
-                    s.gauge("latency.p999Ms",
-                            sim::toMsecs(
-                                sw.hist.percentileMid(0.999)));
-                    s.gauge("latency.maxMs",
-                            sim::toMsecs(sw.hist.max()));
-                }
-                sw.hist.reset();
-                if (const core::ServerArch *arch = px.arch()) {
-                    std::vector<core::ArchGauge> gauges;
-                    arch->appendTelemetryGauges(gauges);
-                    for (const core::ArchGauge &g : gauges)
-                        s.gauge(g.name, g.value);
-                }
+                sampleProxy(*hop_series[i], *proxies[i], served[i]);
             }
 
             if (disp_series) {
@@ -552,14 +542,8 @@ runScenario(const Scenario &sc)
                               *topo.dispatcherHost());
                 const core::DispatcherStats &d =
                     topo.dispatcher()->stats();
-                s.counter("disp.messagesIn", d.messagesIn);
-                s.counter("disp.requestsRouted", d.requestsRouted);
-                s.counter("disp.responsesRouted", d.responsesRouted);
-                s.counter("disp.registersRouted", d.registersRouted);
-                s.counter("disp.peekFailures", d.peekFailures);
-                s.counter("disp.dropsNoRoute", d.dropsNoRoute);
-                s.counter("disp.clientConnsAccepted",
-                          d.clientConnsAccepted);
+                stats::emitFields(core::kDispatcherFields, d, "disp.",
+                                  counterSink(s));
                 for (std::size_t i = 0; i < d.toInstance.size(); ++i) {
                     s.counter("disp.toInstance" + std::to_string(i),
                               d.toInstance[i]);
@@ -572,67 +556,22 @@ runScenario(const Scenario &sc)
                               *client_hosts[i]);
             }
 
-            std::uint64_t p_ops = 0, p_done = 0, p_fail = 0,
-                          p_ret = 0, p_rej = 0, p_back = 0;
-            for (const auto &ph : callers) {
-                const phone::PhoneStats &st = ph->stats();
-                p_ops += st.opsCompleted;
-                p_done += st.callsCompleted;
-                p_fail += st.callsFailed;
-                p_ret += st.retransmissions;
-                p_rej += st.rejected503;
-                p_back += st.backoffs;
-            }
-            for (const auto &ph : callees)
-                p_ret += ph->stats().retransmissions;
-            phone_series->counter("phone.ops", p_ops);
-            phone_series->counter("phone.callsCompleted", p_done);
-            phone_series->counter("phone.callsFailed", p_fail);
-            phone_series->counter("phone.retransmissions", p_ret);
-            phone_series->counter("phone.rejected503", p_rej);
-            phone_series->counter("phone.backoffs", p_back);
-
-            const net::NetStats &nst = network.stats();
-            net_series->counter("net.udpSent", nst.udpSent);
-            net_series->counter("net.udpDelivered",
-                                nst.udpDelivered);
-            net_series->counter("net.udpDropped", nst.udpDropped);
-            net_series->counter("net.udpLost", nst.udpLost);
-            net_series->counter("net.tcpConnects", nst.tcpConnects);
-            net_series->counter("net.tcpSegments", nst.tcpSegments);
-            net_series->counter("net.tcpBytes", nst.tcpBytes);
-            net_series->counter("net.sctpMessages",
-                                nst.sctpMessages);
-            net_series->counter("net.sctpDropped", nst.sctpDropped);
-            net_series->counter("net.sstMessages", nst.sstMessages);
-            net_series->counter("net.sstFrames", nst.sstFrames);
-            net_series->counter("net.sstDropped", nst.sstDropped);
-            net_series->counter("net.tlsRecords", nst.tlsRecords);
-            net_series->counter("net.batchRecvCalls",
-                                nst.batchRecv.calls);
-            net_series->counter("net.batchRecvMsgs",
-                                nst.batchRecv.messages);
-            net_series->counter("net.batchSendCalls",
-                                nst.batchSend.calls);
-            net_series->counter("net.batchSendMsgs",
-                                nst.batchSend.messages);
-        };
-        telemetry_boundary = [&](sim::SimTime now) {
-            telemetry_sample(now);
-            for (stats::Series *s : all_series)
-                s->beginWindow(now);
+            stats::emitFields(kPhoneTotalFields,
+                              sumPhones(callers, callees), "phone.",
+                              counterSink(*phone_series));
+            emitNetStats(network.stats(), counterSink(*net_series));
         };
 
         // Window 0 opens at t=0; the sampler closes a window at every
         // following multiple of the width. The last (partial) window
         // is flushed synchronously when the run's counters are read.
-        for (stats::Series *s : all_series)
+        for (const auto &s : telemetry->series())
             s->beginWindow(0);
         client_machines[0]->spawn(
             "telemetry", 0, [&](sim::Process &p) {
                 return telemetryMain(p, &phases,
                                      sc.telemetry.window(),
-                                     &telemetry_boundary);
+                                     &telemetry_sample, telemetry.get());
             });
     }
 
@@ -661,8 +600,8 @@ runScenario(const Scenario &sc)
     // deltas sum exactly to the totals in RunResult.
     if (telemetry) {
         const sim::SimTime tele_end = simu.now();
-        telemetry_sample(tele_end);
-        for (stats::Series *s : all_series)
+        telemetry_sample();
+        for (const auto &s : telemetry->series())
             s->finish(tele_end);
         telemetry->setMeasurePhase(
             phases.measureStart,
@@ -672,34 +611,20 @@ runScenario(const Scenario &sc)
     RunResult result;
     result.timeseries = telemetry;
     result.timedOut = !phases.finished;
-    sim::SimTime end = phases.finished ? phases.measureEnd : simu.now();
+    const PhoneTotals phones = sumPhones(callers, callees);
+    // A run cut short by the safety cap ends at its last operation.
+    const sim::SimTime end = phases.finished
+        ? phases.measureEnd
+        : std::max(phases.measureStart, phones.lastOpDone);
     result.duration = end - phases.measureStart;
-
-    // Operations are counted at the callers (each transaction once).
-    sim::SimTime last_op = phases.measureStart;
-    for (const auto &ph : callers) {
-        const auto &st = ph->stats();
-        result.ops += st.opsCompleted;
-        result.callsCompleted += st.callsCompleted;
-        result.callsFailed += st.callsFailed;
-        last_op = std::max(last_op, st.lastOpDone);
-    }
-    for (const auto &ph : callees) {
-        const auto &st = ph->stats();
-        result.phoneRetransmissions += st.retransmissions;
-        result.reconnects += st.reconnects;
-        result.reconnectFailures += st.reconnectFailures;
-    }
-    for (const auto &ph : callers) {
-        const auto &st = ph->stats();
-        result.phoneRetransmissions += st.retransmissions;
-        result.reconnects += st.reconnects;
-        result.reconnectFailures += st.reconnectFailures;
-        result.phoneRejected503 += st.rejected503;
-        result.phoneBackoffs += st.backoffs;
-    }
-    if (result.timedOut)
-        result.duration = last_op - phases.measureStart;
+    result.ops = phones.ops;
+    result.callsCompleted = phones.callsCompleted;
+    result.callsFailed = phones.callsFailed;
+    result.phoneRetransmissions = phones.retransmissions;
+    result.reconnects = phones.reconnects;
+    result.reconnectFailures = phones.reconnectFailures;
+    result.phoneRejected503 = phones.rejected503;
+    result.phoneBackoffs = phones.backoffs;
     if (result.duration > 0) {
         result.opsPerSec = static_cast<double>(result.ops)
             / sim::toSecs(result.duration);
@@ -736,39 +661,35 @@ runScenario(const Scenario &sc)
         result.archKind = arch->kind();
         result.archLoops = arch->loopCount();
     }
-    result.occupancy = std::move(occupancy);
     // Profile the destination machine: it is the saturating hop the
     // distributed schemes protect (single proxy: the only machine).
     result.serverProfile = server_machines.back()->profiler();
     if (result.duration > 0) {
+        // Busy share of machine @p m over the measured phase; entry
+        // @p i of @p at_start is its busy time when the phase began.
+        auto utilization = [&](sim::Machine &m,
+                               const std::vector<sim::SimTime> &at_start,
+                               std::size_t i) {
+            sim::SimTime busy = m.scheduler().busyTime()
+                - (i < at_start.size() ? at_start[i] : 0);
+            return sim::toSecs(busy)
+                / (sim::toSecs(result.duration) * m.scheduler().cores());
+        };
         // Server utilization reports the busiest server-side machine
-        // (hop, cluster instance, or the dispatcher).
+        // (hop, cluster instance, or the dispatcher). Bursts spanning
+        // the phase boundary are charged when they end, so clamp the
+        // tiny resulting over-count.
         for (std::size_t i = 0; i < profiled.size(); ++i) {
-            double capacity = sim::toSecs(result.duration)
-                * profiled[i]->scheduler().cores();
-            // Bursts spanning the phase boundary are charged when
-            // they end, so clamp the tiny resulting over-count.
             result.serverUtilization = std::max(
                 result.serverUtilization,
-                std::min(
-                    1.0,
-                    sim::toSecs(
-                        profiled[i]->scheduler().busyTime()
-                        - (i < phases.serverBusyAtStart.size()
-                               ? phases.serverBusyAtStart[i]
-                               : 0))
-                        / capacity));
+                std::min(1.0, utilization(*profiled[i],
+                                          phases.serverBusyAtStart, i)));
         }
         for (std::size_t i = 0; i < client_machines.size(); ++i) {
-            double busy = sim::toSecs(
-                client_machines[i]->scheduler().busyTime()
-                - (i < phases.clientBusyAtStart.size()
-                       ? phases.clientBusyAtStart[i]
-                       : 0));
-            double cap = sim::toSecs(result.duration)
-                * client_machines[i]->scheduler().cores();
             result.maxClientUtilization = std::max(
-                result.maxClientUtilization, busy / cap);
+                result.maxClientUtilization,
+                utilization(*client_machines[i],
+                            phases.clientBusyAtStart, i));
         }
     }
 
@@ -785,7 +706,7 @@ std::string
 RunResult::digest() const
 {
     std::string out;
-    auto add = [&out](const char *name, std::uint64_t v) {
+    auto add = [&out](std::string_view name, std::uint64_t v) {
         out += name;
         out += '=';
         out += std::to_string(v);
@@ -801,169 +722,65 @@ RunResult::digest() const
     add("inviteP50", static_cast<std::uint64_t>(inviteP50));
     add("inviteP99", static_cast<std::uint64_t>(inviteP99));
     add("timedOut", timedOut ? 1 : 0);
-    add("messagesIn", counters.messagesIn);
-    add("requestsIn", counters.requestsIn);
-    add("responsesIn", counters.responsesIn);
-    add("forwards", counters.forwards);
-    add("localReplies", counters.localReplies);
-    add("parseErrors", counters.parseErrors);
-    add("routeFailures", counters.routeFailures);
-    add("retransAbsorbed", counters.retransAbsorbed);
-    add("retransSent", counters.retransSent);
-    add("retransTimeouts", counters.retransTimeouts);
-    add("timerB408s", counters.timerB408s);
-    add("registrations", counters.registrations);
-    add("connsAccepted", counters.connsAccepted);
-    add("connsDestroyed", counters.connsDestroyed);
-    add("outboundConnects", counters.outboundConnects);
-    add("overloadRejected", counters.overloadRejected);
-    add("overloadThrottled", counters.overloadThrottled);
-    add("overloadPanicDrops", counters.overloadPanicDrops);
-    add("overloadShedEnters", counters.overloadShedEnters);
-    add("overloadShedExits", counters.overloadShedExits);
-    add("tcpReadPauses", counters.tcpReadPauses);
-    add("tcpReadResumes", counters.tcpReadResumes);
-    add("tcpAcceptPauses", counters.tcpAcceptPauses);
+    stats::emitFields(core::kProxyCounterFields, counters, "", add,
+                      core::kDigestRun);
     add("phoneRejected503", phoneRejected503);
     add("phoneBackoffs", phoneBackoffs);
     add("proxyRecvQueueDrops", proxyRecvQueueDrops);
     add("proxyAcceptRefused", proxyAcceptRefused);
-    add("occupancySamples", occupancy.size());
-    add("udpSent", net.udpSent);
-    add("udpDelivered", net.udpDelivered);
-    add("udpLost", net.udpLost);
-    add("udpDropped", net.udpDropped);
-    add("tcpConnects", net.tcpConnects);
-    add("tcpRefused", net.tcpRefused);
-    add("tcpSegments", net.tcpSegments);
-    add("tcpBytes", net.tcpBytes);
-    add("sctpMessages", net.sctpMessages);
-    add("sctpDropped", net.sctpDropped);
-    add("sctpAssocs", net.sctpAssocs);
-    add("faultDropped", net.faultDropped);
-    add("faultDuplicated", net.faultDuplicated);
-    add("faultDelayed", net.faultDelayed);
-    add("tcpFaultRefused", net.tcpFaultRefused);
-    add("tcpRstInjected", net.tcpRstInjected);
-    add("tcpBlackholed", net.tcpBlackholed);
-    add("tcpRecoveries", net.tcpRecoveries);
+    // Legacy line: the occupancy sampler is gone (windowed telemetry
+    // samples the same gauges); kept so every golden stays identical.
+    add("occupancySamples", 0);
+    stats::emitFields(net::kNetStatsFields, net, "", add,
+                      net::kNetDigestRun);
     add("txnEntriesAtEnd", txnEntriesAtEnd);
     add("retransEntriesAtEnd", retransEntriesAtEnd);
     add("connEntriesAtEnd", connEntriesAtEnd);
-    // TLS and SST groups are appended only when the transport was in
-    // play, so pre-existing digests stay byte-identical.
+    // The blocks below are appended only when their feature was in
+    // play, so digests of runs without it stay byte-identical to the
+    // goldens recorded before the feature existed.
     if (net.tlsConnects || net.tlsHandshakeAborts) {
-        add("tlsConnects", net.tlsConnects);
-        add("tlsHandshakesFull", net.tlsHandshakesFull);
-        add("tlsHandshakesResumed", net.tlsHandshakesResumed);
-        add("tlsZeroRttResumes", net.tlsZeroRttResumes);
-        add("tlsSessionEvictions", net.tlsSessionEvictions);
-        add("tlsHandshakeAborts", net.tlsHandshakeAborts);
-        add("tlsRecords", net.tlsRecords);
+        stats::emitFields(net::kNetStatsFields, net, "", add,
+                          net::kNetDigestTls);
     }
     if (net.sstMessages || net.sstChannels) {
-        add("sstMessages", net.sstMessages);
-        add("sstStreams", net.sstStreams);
-        add("sstFrames", net.sstFrames);
-        add("sstChannels", net.sstChannels);
-        add("sstDropped", net.sstDropped);
-        add("sstLost", net.sstLost);
+        stats::emitFields(net::kNetStatsFields, net, "", add,
+                          net::kNetDigestSst);
     }
-    // Batched-I/O group: only the recvBatch/sendBatch paths record
-    // batch syscalls, and the architectures take those paths only at
-    // batchMax > 1, so every batchMax=1 digest stays byte-identical
-    // to its pre-batching golden.
+    // Only the recvBatch/sendBatch paths record batch syscalls, and
+    // the architectures take them only at batchMax > 1.
     if (net.batchRecv.calls || net.batchSend.calls) {
-        add("batchRecvCalls", net.batchRecv.calls);
-        add("batchRecvMsgs", net.batchRecv.messages);
-        add("batchRecvMaxDepth", net.batchRecv.maxDepth);
-        add("batchSendCalls", net.batchSend.calls);
-        add("batchSendMsgs", net.batchSend.messages);
-        add("batchSendMaxDepth", net.batchSend.maxDepth);
+        for (const auto &b : net::kNetBatchFields)
+            stats::emitFields(net::kBatchIoFields, net.*b.member, b.name,
+                              add);
     }
-    // Hop-by-hop control and chain groups follow the same convention:
-    // appended only when the feature was in play, so every pre-chain
-    // golden digest stays byte-identical.
-    if (counters.hopFeedbackSent || counters.hopFeedbackApplied
-        || counters.hopThrottleHolds || counters.hopThrottleRejects
-        || counters.hopThrottleDrops || counters.hopGrantExpired) {
-        add("hopFeedbackSent", counters.hopFeedbackSent);
-        add("hopFeedbackApplied", counters.hopFeedbackApplied);
-        add("hopThrottleHolds", counters.hopThrottleHolds);
-        add("hopThrottleRejects", counters.hopThrottleRejects);
-        add("hopThrottleDrops", counters.hopThrottleDrops);
-        add("hopGrantExpired", counters.hopGrantExpired);
+    if (stats::anyField(core::kProxyCounterFields, counters,
+                        core::kDigestHopCtl)) {
+        stats::emitFields(core::kProxyCounterFields, counters, "", add,
+                          core::kDigestHopCtl);
     }
     if (!hopCounters.empty()) {
         add("chainHops", hopCounters.size());
         for (std::size_t i = 0; i < hopCounters.size(); ++i) {
-            const core::ProxyCounters &h = hopCounters[i];
-            std::string prefix = "hop" + std::to_string(i) + ".";
-            auto addh = [&out, &prefix](const char *name,
-                                        std::uint64_t v) {
-                out += prefix;
-                out += name;
-                out += '=';
-                out += std::to_string(v);
-                out += '\n';
-            };
-            addh("messagesIn", h.messagesIn);
-            addh("forwards", h.forwards);
-            addh("localReplies", h.localReplies);
-            addh("retransAbsorbed", h.retransAbsorbed);
-            addh("timerB408s", h.timerB408s);
-            addh("overloadRejected", h.overloadRejected);
-            addh("overloadThrottled", h.overloadThrottled);
-            addh("overloadPanicDrops", h.overloadPanicDrops);
-            addh("hopFeedbackSent", h.hopFeedbackSent);
-            addh("hopFeedbackApplied", h.hopFeedbackApplied);
-            addh("hopThrottleHolds", h.hopThrottleHolds);
-            addh("hopThrottleRejects", h.hopThrottleRejects);
-            addh("hopThrottleDrops", h.hopThrottleDrops);
-            addh("hopGrantExpired", h.hopGrantExpired);
+            stats::emitFields(core::kProxyCounterFields, hopCounters[i],
+                              "hop" + std::to_string(i) + ".", add,
+                              core::kDigestPerHop);
         }
     }
-    // Cluster group: appended only for cluster runs, so every
-    // pre-cluster golden digest stays byte-identical.
     if (clusterInstances > 0) {
         add("clusterInstances",
             static_cast<std::uint64_t>(clusterInstances));
-        add("dispMessagesIn", dispatcherStats.messagesIn);
-        add("dispRequestsRouted", dispatcherStats.requestsRouted);
-        add("dispResponsesRouted", dispatcherStats.responsesRouted);
-        add("dispRegistersRouted", dispatcherStats.registersRouted);
-        add("dispPeekFailures", dispatcherStats.peekFailures);
-        add("dispDropsNoRoute", dispatcherStats.dropsNoRoute);
-        add("dispClientConnsAccepted",
-            dispatcherStats.clientConnsAccepted);
-        add("locLocalHits", counters.locLocalHits);
-        add("locReplicaHits", counters.locReplicaHits);
-        add("locMissForwards", counters.locMissForwards);
-        add("locRegisterForwards", counters.locRegisterForwards);
-        add("locReplPushes", counters.locReplPushes);
-        add("locReplInstalls", counters.locReplInstalls);
+        stats::emitFields(core::kDispatcherFields, dispatcherStats,
+                          "disp", add);
+        stats::emitFields(core::kProxyCounterFields, counters, "", add,
+                          core::kDigestLoc);
         for (std::size_t i = 0; i < instanceCounters.size(); ++i) {
-            const core::ProxyCounters &h = instanceCounters[i];
-            std::string prefix = "inst" + std::to_string(i) + ".";
-            auto addi = [&out, &prefix](const char *name,
-                                        std::uint64_t v) {
-                out += prefix;
-                out += name;
-                out += '=';
-                out += std::to_string(v);
-                out += '\n';
-            };
-            addi("messagesIn", h.messagesIn);
-            addi("forwards", h.forwards);
-            addi("localReplies", h.localReplies);
-            addi("registrations", h.registrations);
-            addi("locLocalHits", h.locLocalHits);
-            addi("locReplicaHits", h.locReplicaHits);
-            addi("locMissForwards", h.locMissForwards);
-            addi("locReplPushes", h.locReplPushes);
-            addi("locReplInstalls", h.locReplInstalls);
+            const std::string prefix = "inst" + std::to_string(i) + ".";
+            stats::emitFields(core::kProxyCounterFields,
+                              instanceCounters[i], prefix, add,
+                              core::kDigestPerInst);
             if (i < dispatcherStats.toInstance.size())
-                addi("dispatched", dispatcherStats.toInstance[i]);
+                add(prefix + "dispatched", dispatcherStats.toInstance[i]);
         }
     }
     out += faults.digest();
@@ -974,6 +791,9 @@ stats::MetricsRegistry
 collectMetrics(const RunResult &r)
 {
     stats::MetricsRegistry reg;
+    auto set = [&reg](std::string_view name, std::uint64_t v) {
+        reg.setCounter(name, v);
+    };
 
     // Phone-side counters (operations counted at the callers).
     reg.setCounter("phone.ops", r.ops);
@@ -990,56 +810,16 @@ collectMetrics(const RunResult &r)
                    static_cast<std::uint64_t>(
                        r.duration > 0 ? r.duration : 0));
     reg.setCounter("run.timedOut", r.timedOut ? 1 : 0);
-    reg.setCounter("run.occupancySamples", r.occupancy.size());
     reg.setGauge("run.opsPerSec", r.opsPerSec);
     reg.setGauge("run.serverUtilization", r.serverUtilization);
     reg.setGauge("run.maxClientUtilization", r.maxClientUtilization);
     reg.setGauge("run.inviteP50Ms", sim::toMsecs(r.inviteP50));
     reg.setGauge("run.inviteP99Ms", sim::toMsecs(r.inviteP99));
 
-    // Proxy counters.
-    const core::ProxyCounters &c = r.counters;
-    reg.setCounter("proxy.messagesIn", c.messagesIn);
-    reg.setCounter("proxy.requestsIn", c.requestsIn);
-    reg.setCounter("proxy.responsesIn", c.responsesIn);
-    reg.setCounter("proxy.forwards", c.forwards);
-    reg.setCounter("proxy.localReplies", c.localReplies);
-    reg.setCounter("proxy.parseErrors", c.parseErrors);
-    reg.setCounter("proxy.routeFailures", c.routeFailures);
-    reg.setCounter("proxy.retransAbsorbed", c.retransAbsorbed);
-    reg.setCounter("proxy.retransSent", c.retransSent);
-    reg.setCounter("proxy.retransTimeouts", c.retransTimeouts);
-    reg.setCounter("proxy.timerB408s", c.timerB408s);
-    reg.setCounter("proxy.registrations", c.registrations);
-    reg.setCounter("proxy.authChallenges", c.authChallenges);
-    reg.setCounter("proxy.authAccepted", c.authAccepted);
-    reg.setCounter("proxy.redirects", c.redirects);
-    reg.setCounter("proxy.connsAccepted", c.connsAccepted);
-    reg.setCounter("proxy.connsDestroyed", c.connsDestroyed);
-    reg.setCounter("proxy.fdRequests", c.fdRequests);
-    reg.setCounter("proxy.fdCacheHits", c.fdCacheHits);
-    reg.setCounter("proxy.fdCacheInvalidations",
-                   c.fdCacheInvalidations);
-    reg.setCounter("proxy.outboundConnects", c.outboundConnects);
-    reg.setCounter("proxy.sendsToDeadConns", c.sendsToDeadConns);
-    reg.setCounter("proxy.idleScans", c.idleScans);
-    reg.setCounter("proxy.idleScanVisited", c.idleScanVisited);
-    reg.setCounter("proxy.connsReturnedByWorkers",
-                   c.connsReturnedByWorkers);
-    reg.setCounter("proxy.overloadRejected", c.overloadRejected);
-    reg.setCounter("proxy.overloadThrottled", c.overloadThrottled);
-    reg.setCounter("proxy.overloadPanicDrops", c.overloadPanicDrops);
-    reg.setCounter("proxy.overloadShedEnters", c.overloadShedEnters);
-    reg.setCounter("proxy.overloadShedExits", c.overloadShedExits);
-    reg.setCounter("proxy.tcpReadPauses", c.tcpReadPauses);
-    reg.setCounter("proxy.tcpReadResumes", c.tcpReadResumes);
-    reg.setCounter("proxy.tcpAcceptPauses", c.tcpAcceptPauses);
-    reg.setCounter("proxy.hopFeedbackSent", c.hopFeedbackSent);
-    reg.setCounter("proxy.hopFeedbackApplied", c.hopFeedbackApplied);
-    reg.setCounter("proxy.hopThrottleHolds", c.hopThrottleHolds);
-    reg.setCounter("proxy.hopThrottleRejects", c.hopThrottleRejects);
-    reg.setCounter("proxy.hopThrottleDrops", c.hopThrottleDrops);
-    reg.setCounter("proxy.hopGrantExpired", c.hopGrantExpired);
+    // Proxy counters (summed across hops/instances), plus the proxies'
+    // socket-level drops and end-of-run table occupancy.
+    stats::emitFields(core::kProxyCounterFields, r.counters, "proxy.",
+                      set);
     reg.setCounter("proxy.recvQueueDrops", r.proxyRecvQueueDrops);
     reg.setCounter("proxy.acceptRefused", r.proxyAcceptRefused);
     reg.setCounter("proxy.txnEntriesAtEnd", r.txnEntriesAtEnd);
@@ -1056,129 +836,46 @@ collectMetrics(const RunResult &r)
                    r.archLoops > 0
                        ? static_cast<std::uint64_t>(r.archLoops)
                        : 0);
-    reg.setCounter("proxy.arch.connsStolen", c.connsStolen);
 
     // Chain topology: per-hop counters under proxy.hop<i>.* (edge
     // first). Single-proxy runs emit none of these.
     reg.setCounter("proxy.chainHops", r.hopCounters.size());
     for (std::size_t i = 0; i < r.hopCounters.size(); ++i) {
-        const core::ProxyCounters &h = r.hopCounters[i];
-        std::string prefix = "proxy.hop" + std::to_string(i) + ".";
-        reg.setCounter(prefix + "messagesIn", h.messagesIn);
-        reg.setCounter(prefix + "forwards", h.forwards);
-        reg.setCounter(prefix + "localReplies", h.localReplies);
-        reg.setCounter(prefix + "overloadRejected", h.overloadRejected);
-        reg.setCounter(prefix + "overloadThrottled",
-                       h.overloadThrottled);
-        reg.setCounter(prefix + "overloadPanicDrops",
-                       h.overloadPanicDrops);
-        reg.setCounter(prefix + "hopFeedbackSent", h.hopFeedbackSent);
-        reg.setCounter(prefix + "hopFeedbackApplied",
-                       h.hopFeedbackApplied);
-        reg.setCounter(prefix + "hopThrottleHolds", h.hopThrottleHolds);
-        reg.setCounter(prefix + "hopThrottleRejects",
-                       h.hopThrottleRejects);
-        reg.setCounter(prefix + "hopThrottleDrops", h.hopThrottleDrops);
-        reg.setCounter(prefix + "hopGrantExpired", h.hopGrantExpired);
+        stats::emitFields(core::kProxyCounterFields, r.hopCounters[i],
+                          "proxy.hop" + std::to_string(i) + ".", set);
     }
 
-    // Cluster topology: dispatcher front-end counters plus per-instance
-    // counters under proxy.<i>.*. Non-cluster runs emit none of these.
+    // Cluster topology: dispatcher front-end counters under disp.*
+    // plus per-instance counters under proxy.<i>.*. Non-cluster runs
+    // emit none of these.
     if (r.clusterInstances > 0) {
         reg.setCounter("cluster.instances",
                        static_cast<std::uint64_t>(r.clusterInstances));
         const core::DispatcherStats &d = r.dispatcherStats;
-        reg.setCounter("dispatcher.messagesIn", d.messagesIn);
-        reg.setCounter("dispatcher.requestsRouted", d.requestsRouted);
-        reg.setCounter("dispatcher.responsesRouted",
-                       d.responsesRouted);
-        reg.setCounter("dispatcher.registersRouted",
-                       d.registersRouted);
-        reg.setCounter("dispatcher.peekFailures", d.peekFailures);
-        reg.setCounter("dispatcher.dropsNoRoute", d.dropsNoRoute);
-        reg.setCounter("dispatcher.clientConnsAccepted",
-                       d.clientConnsAccepted);
-        reg.setCounter("proxy.locLocalHits", c.locLocalHits);
-        reg.setCounter("proxy.locReplicaHits", c.locReplicaHits);
-        reg.setCounter("proxy.locMissForwards", c.locMissForwards);
-        reg.setCounter("proxy.locRegisterForwards",
-                       c.locRegisterForwards);
-        reg.setCounter("proxy.locReplPushes", c.locReplPushes);
-        reg.setCounter("proxy.locReplInstalls", c.locReplInstalls);
+        stats::emitFields(core::kDispatcherFields, d, "disp.", set);
         for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
-            const core::ProxyCounters &h = r.instanceCounters[i];
-            std::string prefix = "proxy." + std::to_string(i) + ".";
-            reg.setCounter(prefix + "messagesIn", h.messagesIn);
-            reg.setCounter(prefix + "forwards", h.forwards);
-            reg.setCounter(prefix + "localReplies", h.localReplies);
-            reg.setCounter(prefix + "registrations", h.registrations);
-            reg.setCounter(prefix + "locLocalHits", h.locLocalHits);
-            reg.setCounter(prefix + "locReplicaHits",
-                           h.locReplicaHits);
-            reg.setCounter(prefix + "locMissForwards",
-                           h.locMissForwards);
-            reg.setCounter(prefix + "locReplPushes", h.locReplPushes);
-            reg.setCounter(prefix + "locReplInstalls",
-                           h.locReplInstalls);
+            const std::string prefix =
+                "proxy." + std::to_string(i) + ".";
+            stats::emitFields(core::kProxyCounterFields,
+                              r.instanceCounters[i], prefix, set);
             if (i < d.toInstance.size())
-                reg.setCounter(prefix + "dispatched",
-                               d.toInstance[i]);
+                set(prefix + "dispatched", d.toInstance[i]);
         }
     }
 
-    // Network counters.
-    reg.setCounter("net.udpSent", r.net.udpSent);
-    reg.setCounter("net.udpDelivered", r.net.udpDelivered);
-    reg.setCounter("net.udpLost", r.net.udpLost);
-    reg.setCounter("net.udpDropped", r.net.udpDropped);
-    reg.setCounter("net.tcpConnects", r.net.tcpConnects);
-    reg.setCounter("net.tcpRefused", r.net.tcpRefused);
-    reg.setCounter("net.tcpSegments", r.net.tcpSegments);
-    reg.setCounter("net.tcpBytes", r.net.tcpBytes);
-    reg.setCounter("net.sctpMessages", r.net.sctpMessages);
-    reg.setCounter("net.sctpDropped", r.net.sctpDropped);
-    reg.setCounter("net.sctpAssocs", r.net.sctpAssocs);
-    reg.setCounter("net.tlsConnects", r.net.tlsConnects);
-    reg.setCounter("net.tlsHandshakesFull", r.net.tlsHandshakesFull);
-    reg.setCounter("net.tlsHandshakesResumed",
-                   r.net.tlsHandshakesResumed);
-    reg.setCounter("net.tlsZeroRttResumes", r.net.tlsZeroRttResumes);
-    reg.setCounter("net.tlsSessionEvictions",
-                   r.net.tlsSessionEvictions);
-    reg.setCounter("net.tlsHandshakeAborts", r.net.tlsHandshakeAborts);
-    reg.setCounter("net.tlsRecords", r.net.tlsRecords);
-    reg.setCounter("net.sstMessages", r.net.sstMessages);
-    reg.setCounter("net.sstStreams", r.net.sstStreams);
-    reg.setCounter("net.sstFrames", r.net.sstFrames);
-    reg.setCounter("net.sstChannels", r.net.sstChannels);
-    reg.setCounter("net.sstDropped", r.net.sstDropped);
-    reg.setCounter("net.sstLost", r.net.sstLost);
-    reg.setCounter("net.faultDropped", r.net.faultDropped);
-    reg.setCounter("net.faultDuplicated", r.net.faultDuplicated);
-    reg.setCounter("net.faultDelayed", r.net.faultDelayed);
-    reg.setCounter("net.tcpFaultRefused", r.net.tcpFaultRefused);
-    reg.setCounter("net.tcpRstInjected", r.net.tcpRstInjected);
-    reg.setCounter("net.tcpBlackholed", r.net.tcpBlackholed);
-    reg.setCounter("net.tcpRecoveries", r.net.tcpRecoveries);
-
-    // Batched datagram I/O: syscall/message totals plus the batch-depth
-    // histogram (bucket n counts batches of exactly n messages; only
-    // occupied buckets are emitted).
-    reg.setCounter("net.batch.recvCalls", r.net.batchRecv.calls);
-    reg.setCounter("net.batch.recvMessages", r.net.batchRecv.messages);
-    reg.setCounter("net.batch.recvMaxDepth", r.net.batchRecv.maxDepth);
-    reg.setCounter("net.batch.sendCalls", r.net.batchSend.calls);
-    reg.setCounter("net.batch.sendMessages", r.net.batchSend.messages);
-    reg.setCounter("net.batch.sendMaxDepth", r.net.batchSend.maxDepth);
-    for (std::size_t i = 0; i < net::BatchIoStats::kDepthBuckets; ++i) {
-        if (r.net.batchRecv.depth[i])
-            reg.setCounter("net.batch.recvDepth."
-                               + std::to_string(i + 1),
-                           r.net.batchRecv.depth[i]);
-        if (r.net.batchSend.depth[i])
-            reg.setCounter("net.batch.sendDepth."
-                               + std::to_string(i + 1),
-                           r.net.batchSend.depth[i]);
+    // Network counters, then the batch-depth histograms (bucket n
+    // counts batches of exactly n messages; only occupied buckets are
+    // emitted).
+    emitNetStats(r.net, set);
+    for (const auto &b : net::kNetBatchFields) {
+        const net::BatchIoStats &io = r.net.*b.member;
+        for (std::size_t i = 0; i < io.depth.size(); ++i) {
+            if (io.depth[i]) {
+                set("net." + std::string(b.name) + "Depth."
+                        + std::to_string(i + 1),
+                    io.depth[i]);
+            }
+        }
     }
 
     // Retained-bytes high-water marks (sim/mem_stats.hh).

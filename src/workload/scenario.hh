@@ -139,9 +139,6 @@ struct Scenario
     sim::SimTime phoneResponseTimeout = sim::secs(4);
     /** Phone-side cap on the 503 Retry-After exponential backoff. */
     sim::SimTime phoneRetryBackoffCap = sim::secs(8);
-    /** If nonzero, sample proxy queue/table occupancy at this period
-     *  during the measured phase (RunResult::occupancy). */
-    sim::SimTime sampleInterval = 0;
     /** Windowed time-series telemetry (stats/timeseries.hh). Off by
      *  default: the sampler process perturbs event interleavings, so
      *  pinned digests only hold with telemetry disabled. */
@@ -178,18 +175,6 @@ const char *chainSupportError(const Scenario &scenario);
 /** nullptr if the scenario's cluster topology is runnable, else a
  *  static reason string (same contract as chainSupportError). */
 const char *clusterSupportError(const Scenario &scenario);
-
-/** One proxy-occupancy sample (overload-onset time series). */
-struct OccupancySample
-{
-    sim::SimTime at = 0;
-    /** Transaction-table entries (two keys per record). */
-    std::size_t txnEntries = 0;
-    /** TCP worker->supervisor channel; datagram socket queue. */
-    std::size_t requestQueueDepth = 0;
-    /** Datagram receive queue; TCP kernel accept backlog. */
-    std::size_t recvQueueDepth = 0;
-};
 
 /** Measured outcome of one scenario run. */
 struct RunResult
@@ -231,8 +216,6 @@ struct RunResult
     std::uint64_t proxyRecvQueueDrops = 0;
     /** TCP connects the proxy's full accept queue refused. */
     std::uint64_t proxyAcceptRefused = 0;
-    /** Occupancy time series (Scenario::sampleInterval > 0). */
-    std::vector<OccupancySample> occupancy;
     /** Windowed telemetry (Scenario::telemetry enabled), ready for
      *  stats::explain(). Null when telemetry was off. Shared so
      *  RunResult stays copyable. */
@@ -271,9 +254,12 @@ RunResult runScenario(const Scenario &scenario);
 /**
  * Fold every deterministic counter, derived gauge, fault total, and
  * server profile entry of @p r into one metrics registry under the
- * unified naming scheme (proxy.*, phone.*, net.*, faults.*,
- * profile.*). The counters section of the returned registry's
- * snapshot is byte-deterministic for identical runs.
+ * unified naming scheme (proxy.*, disp.*, phone.*, net.*, faults.*,
+ * profile.*). Every field of the counter tables (kProxyCounterFields,
+ * kDispatcherFields, kNetStatsFields) appears as <namespace>.<name>,
+ * the keys windowed telemetry uses. The counters section of the
+ * returned registry's snapshot is byte-deterministic for identical
+ * runs.
  */
 stats::MetricsRegistry collectMetrics(const RunResult &r);
 

@@ -66,7 +66,6 @@ class Topology
     }
 
     core::Proxy &edge() { return *proxies_.front(); }
-    core::Proxy &dest() { return *proxies_.back(); }
 
     /** One machine/host per proxy instance, aligned with proxies(). */
     std::vector<sim::Machine *> &serverMachines()

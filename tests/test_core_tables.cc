@@ -3,16 +3,21 @@
  * Unit tests for the proxy's shared-memory structures: the transaction
  * table, the global retransmission list, the connection table with
  * aliases, the idle priority queue, and the registrar — including a
- * randomized ConnTable run against a reference model.
+ * randomized ConnTable run against a reference model — and the counter
+ * field tables that generate every counter output.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
 
 #include "core/conn_table.hh"
+#include "core/dispatcher.hh"
 #include "core/registrar.hh"
+#include "core/shared.hh"
 #include "core/txn_table.hh"
 #include "sim/rng.hh"
 #include "sip/timers.hh"
@@ -368,6 +373,53 @@ TEST(RegistrarTest, ReRegistrationReplacesBinding)
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_EQ(reg.lookup("alice")->connId, 2u);
     EXPECT_EQ(reg.lookup("alice")->contact.host, "h3");
+}
+
+// --- counter field tables --------------------------------------------------
+
+/** No two entries of @p table name the same member (the size checks
+ *  beside the tables cannot see a duplicate standing in for a field). */
+template <class Table>
+void
+expectDistinctMembers(const Table &table)
+{
+    for (std::size_t i = 0; i < std::size(table); ++i) {
+        for (std::size_t j = i + 1; j < std::size(table); ++j) {
+            EXPECT_NE(table[i].member, table[j].member)
+                << table[i].name << " / " << table[j].name;
+            EXPECT_STRNE(table[i].name, table[j].name);
+        }
+    }
+}
+
+TEST(CounterTablesTest, EveryTableNamesEachMemberOnce)
+{
+    expectDistinctMembers(kProxyCounterFields);
+    expectDistinctMembers(kDispatcherFields);
+    expectDistinctMembers(net::kNetStatsFields);
+    expectDistinctMembers(net::kBatchIoFields);
+    expectDistinctMembers(net::kNetBatchFields);
+}
+
+TEST(CounterTablesTest, ProxyCountersAddSumsEveryField)
+{
+    // Distinct values in every field, written through the raw bytes so
+    // the setup does not depend on the table under test.
+    constexpr std::size_t n = sizeof(ProxyCounters) / sizeof(std::uint64_t);
+    std::uint64_t a_raw[n], b_raw[n];
+    for (std::size_t i = 0; i < n; ++i) {
+        a_raw[i] = i + 1;
+        b_raw[i] = 1000 * (i + 1);
+    }
+    ProxyCounters a, b;
+    std::memcpy(&a, a_raw, sizeof a);
+    std::memcpy(&b, b_raw, sizeof b);
+
+    a.add(b);
+    std::uint64_t sum_raw[n];
+    std::memcpy(sum_raw, &a, sizeof a);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(sum_raw[i], 1001 * (i + 1)) << "field #" << i;
 }
 
 } // namespace

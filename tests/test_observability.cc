@@ -14,6 +14,7 @@
 #include <string>
 
 #include "json_check.hh"
+#include "stats/field_table.hh"
 #include "sim/trace.hh"
 #include "workload/scenario.hh"
 
@@ -27,6 +28,33 @@ struct RecorderGuard
 {
     ~RecorderGuard() { tr::setRecorder(nullptr); }
 };
+
+/** counterOr default no real counter reaches: marks a missing key. */
+constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+
+/** Every ProxyCounters table field of @p c is in @p m as
+ *  <prefix><name>. */
+void
+expectProxyMetrics(const stats::MetricsSnapshot &m,
+                   const std::string &prefix, const core::ProxyCounters &c)
+{
+    for (const auto &f : core::kProxyCounterFields) {
+        EXPECT_EQ(m.counterOr(prefix + f.name, kAbsent), c.*f.member)
+            << prefix << f.name;
+    }
+}
+
+/** Every ProxyCounters table field of @p c is in the totals of
+ *  telemetry series @p s as proxy.<name>. */
+void
+expectProxyTotals(const stats::Series &s, const core::ProxyCounters &c)
+{
+    for (const auto &f : core::kProxyCounterFields) {
+        auto it = s.totals().find(std::string("proxy.") + f.name);
+        ASSERT_NE(it, s.totals().end()) << s.machine() << " " << f.name;
+        EXPECT_EQ(it->second, c.*f.member) << s.machine() << " " << f.name;
+    }
+}
 
 Scenario
 tcpScenario(bool fd_cache)
@@ -164,9 +192,28 @@ TEST(ObservabilityTest, CollectMetricsMatchesRunResult)
 
     EXPECT_EQ(m.counterOr("phone.ops"), r.ops);
     EXPECT_EQ(m.counterOr("phone.callsCompleted"), r.callsCompleted);
-    EXPECT_EQ(m.counterOr("proxy.forwards"), r.counters.forwards);
-    EXPECT_EQ(m.counterOr("proxy.fdRequests"), r.counters.fdRequests);
-    EXPECT_EQ(m.counterOr("net.tcpSegments"), r.net.tcpSegments);
+    EXPECT_GT(r.counters.fdRequests, 0u);
+    EXPECT_GT(r.net.tcpSegments, 0u);
+    // Every counter-table field reaches the registry under its table
+    // name: proxy.<name>, net.<name>, net.batchRecv<Name>, ...
+    expectProxyMetrics(m, "proxy.", r.counters);
+    for (const auto &f : net::kNetStatsFields) {
+        EXPECT_EQ(m.counterOr(std::string("net.") + f.name, kAbsent),
+                  r.net.*f.member)
+            << f.name;
+    }
+    for (const auto &b : net::kNetBatchFields) {
+        for (const auto &f : net::kBatchIoFields) {
+            const std::string key =
+                stats::fieldKey("net." + std::string(b.name), f.name);
+            EXPECT_EQ(m.counterOr(key, kAbsent), (r.net.*b.member).*f.member)
+                << key;
+        }
+    }
+    // Chain and cluster keys appear only in those topologies.
+    EXPECT_EQ(m.counterOr("proxy.chainHops"), 0u);
+    EXPECT_EQ(m.counterOr("proxy.hop0.forwards", kAbsent), kAbsent);
+    EXPECT_EQ(m.counterOr("disp.messagesIn", kAbsent), kAbsent);
     EXPECT_DOUBLE_EQ(m.gaugeOr("run.opsPerSec"), r.opsPerSec);
     // Unknown names fall back to the caller's default.
     EXPECT_EQ(m.counterOr("no.such.counter", 42u), 42u);
@@ -184,6 +231,86 @@ TEST(ObservabilityTest, CollectMetricsMatchesRunResult)
                   .number,
               static_cast<double>(r.callsCompleted));
     EXPECT_TRUE(doc->at("gauges").has("run.opsPerSec"));
+}
+
+TEST(ObservabilityTest, ChainOutputsCoverEveryHopField)
+{
+    Scenario sc;
+    sc.clients = 4;
+    sc.callsPerClient = 3;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    sc.proxy.workers = 4;
+    sc.chain.assign(2, ChainHop{});
+    sc.telemetry.windowMs = 5;
+    RunResult r = runScenario(sc);
+    EXPECT_GT(r.callsCompleted, 0u);
+    ASSERT_EQ(r.hopCounters.size(), 2u);
+    ASSERT_NE(r.timeseries, nullptr);
+    stats::MetricsSnapshot m = collectMetrics(r).snapshot();
+
+    EXPECT_EQ(m.counterOr("proxy.chainHops"), 2u);
+    expectProxyMetrics(m, "proxy.", r.counters);
+    int hop_series = 0;
+    for (const auto &s : r.timeseries->series()) {
+        if (s->hop() < 0)
+            continue;
+        const auto hop = static_cast<std::size_t>(s->hop());
+        ASSERT_LT(hop, r.hopCounters.size());
+        expectProxyMetrics(m, "proxy.hop" + std::to_string(hop) + ".",
+                           r.hopCounters[hop]);
+        expectProxyTotals(*s, r.hopCounters[hop]);
+        ++hop_series;
+    }
+    EXPECT_EQ(hop_series, 2);
+}
+
+TEST(ObservabilityTest, ClusterOutputsCoverEveryInstanceField)
+{
+    Scenario sc;
+    sc.clients = 8;
+    sc.callsPerClient = 3;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    sc.proxy.stateful = true;
+    sc.cluster.instances = 2;
+    sc.telemetry.windowMs = 5;
+    RunResult r = runScenario(sc);
+    EXPECT_GT(r.callsCompleted, 0u);
+    ASSERT_EQ(r.instanceCounters.size(), 2u);
+    ASSERT_NE(r.timeseries, nullptr);
+    stats::MetricsSnapshot m = collectMetrics(r).snapshot();
+
+    EXPECT_EQ(m.counterOr("cluster.instances"), 2u);
+    expectProxyMetrics(m, "proxy.", r.counters);
+    for (const auto &f : core::kDispatcherFields) {
+        EXPECT_EQ(m.counterOr(std::string("disp.") + f.name, kAbsent),
+                  r.dispatcherStats.*f.member)
+            << f.name;
+    }
+    for (std::size_t i = 0; i < r.instanceCounters.size(); ++i) {
+        const std::string prefix = "proxy." + std::to_string(i) + ".";
+        expectProxyMetrics(m, prefix, r.instanceCounters[i]);
+        EXPECT_EQ(m.counterOr(prefix + "dispatched", kAbsent),
+                  r.dispatcherStats.toInstance[i]);
+    }
+    int instance_series = 0;
+    for (const auto &s : r.timeseries->series()) {
+        if (s->arch() == "dispatcher") {
+            for (const auto &f : core::kDispatcherFields) {
+                EXPECT_EQ(s->totals().at(std::string("disp.") + f.name),
+                          r.dispatcherStats.*f.member)
+                    << f.name;
+            }
+        }
+        if (s->hop() < 0)
+            continue;
+        const auto inst = static_cast<std::size_t>(s->hop());
+        ASSERT_LT(inst, r.instanceCounters.size());
+        expectProxyTotals(*s, r.instanceCounters[inst]);
+        ++instance_series;
+    }
+    EXPECT_EQ(instance_series, 2);
 }
 
 TEST(ObservabilityTest, MetricsDigestAndDiff)

@@ -12,6 +12,7 @@
 #include "core/overload.hh"
 #include "core/shared.hh"
 #include "phone/phone.hh"
+#include "stats/timeseries.hh"
 #include "workload/scenario.hh"
 
 namespace {
@@ -337,13 +338,23 @@ TEST(OverloadScenarioTest, OccupancySamplingProducesTimeSeries)
 {
     workload::Scenario sc = smallScenario(core::Transport::Udp);
     // The whole small scenario runs in a few ms of sim time, so the
-    // sampler needs a sub-ms period to produce a series.
-    sc.sampleInterval = sim::usecs(100);
+    // telemetry needs the narrowest window to produce a series.
+    sc.telemetry.windowMs = 1;
 
     workload::RunResult r = workload::runScenario(sc);
-    ASSERT_GT(r.occupancy.size(), 1u);
-    for (std::size_t i = 1; i < r.occupancy.size(); ++i)
-        EXPECT_GT(r.occupancy[i].at, r.occupancy[i - 1].at);
+    ASSERT_NE(r.timeseries, nullptr);
+    const stats::Series *server = r.timeseries->find("server");
+    ASSERT_NE(server, nullptr);
+    const auto &wins = server->windows();
+    ASSERT_GT(wins.size(), 1u);
+    for (std::size_t i = 1; i < wins.size(); ++i)
+        EXPECT_GT(wins[i].startNs, wins[i - 1].startNs);
+    // Each window carries the occupancy gauges sampled at its close.
+    for (const stats::Window &w : wins) {
+        for (const char *g : {"txn.records", "queue.request",
+                              "queue.recv"})
+            EXPECT_EQ(w.gauges.count(g), 1u) << "@" << w.startNs << " " << g;
+    }
     EXPECT_NE(r.digest().find("occupancySamples="),
               std::string::npos);
 }
@@ -360,7 +371,6 @@ TEST(OverloadScenarioTest, SameSeedDigestsIdenticalWithOverload)
         sc.proxy.overload.latencyHigh = sim::usecs(1);
         sc.proxy.overload.initialRate = 50;
         sc.proxy.overload.burstTokens = 1;
-        sc.sampleInterval = sim::msecs(10);
         sc.phoneRetryBackoffCap = sim::msecs(200);
         sc.seed = 42;
 

@@ -15,6 +15,7 @@
 #include "json_check.hh"
 #include "sim/trace.hh"
 #include "stats/explain.hh"
+#include "stats/field_table.hh"
 #include "stats/histogram.hh"
 #include "stats/metrics.hh"
 #include "stats/timeseries.hh"
@@ -296,20 +297,61 @@ TEST(TelemetryRunTest, SeriesAreConsistentAndDeterministic)
     ASSERT_NE(server, nullptr);
     EXPECT_EQ(server->hop(), 0);
     EXPECT_EQ(server->arch(), "supervisor");
-    EXPECT_EQ(server->totals().at("proxy.messagesIn"),
-              r.counters.messagesIn);
-    EXPECT_EQ(server->totals().at("proxy.forwards"),
-              r.counters.forwards);
-    EXPECT_EQ(server->totals().at("proxy.fdRequests"),
-              r.counters.fdRequests);
+    // Every counter-table field is sampled, under the same name the
+    // metrics registry uses.
+    auto total = [](const Series &s, const std::string &key) {
+        auto it = s.totals().find(key);
+        EXPECT_NE(it, s.totals().end()) << s.machine() << " " << key;
+        return it == s.totals().end() ? ~std::uint64_t{0} : it->second;
+    };
+    EXPECT_GT(r.counters.fdRequests, 0u);
+    for (const auto &f : core::kProxyCounterFields) {
+        EXPECT_EQ(total(*server, std::string("proxy.") + f.name),
+                  r.counters.*f.member)
+            << f.name;
+    }
     const Series *phones = ts.find("phones");
     ASSERT_NE(phones, nullptr);
-    EXPECT_EQ(phones->totals().at("phone.ops"), r.ops);
-    EXPECT_EQ(phones->totals().at("phone.callsCompleted"),
-              r.callsCompleted);
+    EXPECT_EQ(total(*phones, "phone.ops"), r.ops);
+    EXPECT_EQ(total(*phones, "phone.callsCompleted"), r.callsCompleted);
+    EXPECT_EQ(total(*phones, "phone.callsFailed"), r.callsFailed);
+    EXPECT_EQ(total(*phones, "phone.retransmissions"),
+              r.phoneRetransmissions);
+    EXPECT_EQ(total(*phones, "phone.reconnects"), r.reconnects);
+    EXPECT_EQ(total(*phones, "phone.reconnectFailures"),
+              r.reconnectFailures);
+    EXPECT_EQ(total(*phones, "phone.rejected503"), r.phoneRejected503);
+    EXPECT_EQ(total(*phones, "phone.backoffs"), r.phoneBackoffs);
     const Series *net = ts.find("net");
     ASSERT_NE(net, nullptr);
-    EXPECT_EQ(net->totals().at("net.tcpSegments"), r.net.tcpSegments);
+    EXPECT_GT(r.net.tcpSegments, 0u);
+    for (const auto &f : net::kNetStatsFields) {
+        EXPECT_EQ(total(*net, std::string("net.") + f.name),
+                  r.net.*f.member)
+            << f.name;
+    }
+    for (const auto &b : net::kNetBatchFields) {
+        for (const auto &f : net::kBatchIoFields) {
+            const std::string key =
+                fieldKey("net." + std::string(b.name), f.name);
+            EXPECT_EQ(total(*net, key), (r.net.*b.member).*f.member)
+                << key;
+        }
+    }
+
+    // Every proxy series carries the transaction-table and queue
+    // occupancy gauges in every window (the overload-onset series).
+    for (const auto &s : ts.series()) {
+        if (s->hop() < 0)
+            continue;
+        for (const Window &w : s->windows()) {
+            for (const char *g : {"txn.records", "queue.request",
+                                  "queue.recv"}) {
+                EXPECT_EQ(w.gauges.count(g), 1u)
+                    << s->machine() << " @" << w.startNs << " " << g;
+            }
+        }
+    }
 
     // Serve-latency gauges appear once the proxy served anything.
     bool saw_latency = false;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate the observability artifacts probe exports.
 
-Usage: check_trace.py [--timeseries=FILE] [TRACE_JSON [METRICS_JSON]]
+Usage: check_trace.py [--timeseries=FILE] [--metrics=FILE]
+                      [TRACE_JSON [METRICS_JSON]]
 
 Checks that TRACE_JSON is a well-formed Chrome trace-event document
 with the track layout the recorder promises (machine processes, core /
@@ -17,6 +18,15 @@ increasing and contiguous within each series, counter deltas
 non-negative integers, and the sum of per-window deltas equal to the
 series' end-of-run totals for every counter — the invariant that makes
 the windows trustworthy as a decomposition of the final counters.
+
+--metrics=FILE validates a metrics snapshot (probe --metrics-json)
+without a trace. Given both a time-series and a metrics snapshot of
+the same run, every proxy.*, net.* and phone.* counter total in the
+time-series must equal the same counter in the snapshot: the proxy
+series map to proxy.* (single proxy), proxy.hop<i>.* (chain hop i) or
+proxy.<i>.* (cluster instance i), the net and phones pseudo-series to
+net.* and phone.*. Both sinks are generated from the same counter
+tables, so a mismatch is a naming or sampling bug.
 """
 
 import json
@@ -231,24 +241,72 @@ def check_timeseries(path):
           f"totals")
 
 
+def check_cross(ts_path, metrics_path):
+    with open(ts_path) as f:
+        series = json.load(f)["series"]
+    with open(metrics_path) as f:
+        counters = json.load(f)["counters"]
+
+    if counters.get("cluster.instances", 0) > 0:
+        proxy_prefix = "proxy.{}."
+    elif counters.get("proxy.chainHops", 0) > 0:
+        proxy_prefix = "proxy.hop{}."
+    else:
+        proxy_prefix = "proxy."
+    checked = 0
+    for s in series:
+        name = s.get("machine", "?")
+        if s.get("hop", -1) >= 0:
+            ns, prefix = "proxy.", proxy_prefix.format(s["hop"])
+        elif name in ("net", "phones"):
+            ns = prefix = "net." if name == "net" else "phone."
+        else:
+            continue
+        for key, total in sorted(s["totals"].items()):
+            if not key.startswith(ns):
+                continue
+            mkey = prefix + key[len(ns):]
+            if mkey not in counters:
+                fail(f"cross-check: {name} counter {key} has no "
+                     f"metrics counter {mkey}")
+            if counters[mkey] != total:
+                fail(f"cross-check: {name} {key} total {total} != "
+                     f"metrics {mkey} {counters[mkey]}")
+            checked += 1
+    if checked == 0:
+        fail("cross-check: no proxy/net/phone counters to compare")
+    print(f"check_trace: cross-check ok: {checked} time-series totals "
+          f"equal their metrics counters")
+
+
 def main():
     args = sys.argv[1:]
     ts_path = None
+    metrics_path = None
     positional = []
     for a in args:
         if a.startswith("--timeseries="):
             ts_path = a.split("=", 1)[1]
+        elif a.startswith("--metrics="):
+            metrics_path = a.split("=", 1)[1]
         else:
             positional.append(a)
-    if (ts_path is None and not positional) or len(positional) > 2:
+    if len(positional) == 2:
+        if metrics_path is not None:
+            fail("give the metrics snapshot once")
+        metrics_path = positional[1]
+    if (ts_path is None and metrics_path is None and not positional) \
+            or len(positional) > 2:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     if positional:
         check_trace(positional[0])
-    if len(positional) == 2:
-        check_metrics(positional[1])
+    if metrics_path is not None:
+        check_metrics(metrics_path)
     if ts_path is not None:
         check_timeseries(ts_path)
+    if ts_path is not None and metrics_path is not None:
+        check_cross(ts_path, metrics_path)
 
 
 if __name__ == "__main__":
