@@ -1,8 +1,10 @@
 /**
  * @file
- * Golden determinism digests. These two scenarios were captured before
- * the zero-copy message / pooled event-queue rework and pin the
- * simulation's observable behaviour byte-for-byte: any change to event
+ * Golden determinism digests. The UDP and TCP scenarios were captured
+ * before the zero-copy message / pooled event-queue rework; each later
+ * case was recorded on the code it guards before that code was
+ * refactored. They pin the simulation's observable behaviour
+ * byte-for-byte: any change to event
  * ordering, wire bytes (tcpBytes/tcpSegments are byte-exact), timing,
  * or counter accounting shows up here as a diff. Performance work must
  * keep these digests identical; a deliberate semantic change must
@@ -273,6 +275,186 @@ const char kSstSeed17Golden[] = "ops=144\n"
                                 "sstDropped=0\n"
                                 "sstLost=0\n";
 
+const char kEventUdpSeed19Golden[] = "ops=720\n"
+                                     "callsCompleted=360\n"
+                                     "callsFailed=0\n"
+                                     "phoneRetransmissions=0\n"
+                                     "reconnects=0\n"
+                                     "reconnectFailures=0\n"
+                                     "duration=18294910\n"
+                                     "inviteP50=1376255\n"
+                                     "inviteP99=1703935\n"
+                                     "timedOut=0\n"
+                                     "messagesIn=2280\n"
+                                     "requestsIn=1200\n"
+                                     "responsesIn=1080\n"
+                                     "forwards=2160\n"
+                                     "localReplies=480\n"
+                                     "parseErrors=0\n"
+                                     "routeFailures=0\n"
+                                     "retransAbsorbed=0\n"
+                                     "retransSent=0\n"
+                                     "retransTimeouts=0\n"
+                                     "timerB408s=0\n"
+                                     "registrations=120\n"
+                                     "connsAccepted=0\n"
+                                     "connsDestroyed=0\n"
+                                     "outboundConnects=0\n"
+                                     "overloadRejected=0\n"
+                                     "overloadThrottled=0\n"
+                                     "overloadPanicDrops=0\n"
+                                     "overloadShedEnters=0\n"
+                                     "overloadShedExits=0\n"
+                                     "tcpReadPauses=0\n"
+                                     "tcpReadResumes=0\n"
+                                     "tcpAcceptPauses=0\n"
+                                     "phoneRejected503=0\n"
+                                     "phoneBackoffs=0\n"
+                                     "proxyRecvQueueDrops=0\n"
+                                     "proxyAcceptRefused=0\n"
+                                     "occupancySamples=0\n"
+                                     "udpSent=4920\n"
+                                     "udpDelivered=4920\n"
+                                     "udpLost=0\n"
+                                     "udpDropped=0\n"
+                                     "tcpConnects=0\n"
+                                     "tcpRefused=0\n"
+                                     "tcpSegments=0\n"
+                                     "tcpBytes=0\n"
+                                     "sctpMessages=0\n"
+                                     "sctpDropped=0\n"
+                                     "sctpAssocs=0\n"
+                                     "faultDropped=0\n"
+                                     "faultDuplicated=0\n"
+                                     "faultDelayed=0\n"
+                                     "tcpFaultRefused=0\n"
+                                     "tcpRstInjected=0\n"
+                                     "tcpBlackholed=0\n"
+                                     "tcpRecoveries=0\n"
+                                     "txnEntriesAtEnd=1440\n"
+                                     "retransEntriesAtEnd=0\n"
+                                     "connEntriesAtEnd=0\n";
+
+const char kEventSctpSeed23Golden[] = "ops=480\n"
+                                      "callsCompleted=240\n"
+                                      "callsFailed=0\n"
+                                      "phoneRetransmissions=0\n"
+                                      "reconnects=0\n"
+                                      "reconnectFailures=0\n"
+                                      "duration=14082158\n"
+                                      "inviteP50=1114111\n"
+                                      "inviteP99=1376255\n"
+                                      "timedOut=0\n"
+                                      "messagesIn=1520\n"
+                                      "requestsIn=800\n"
+                                      "responsesIn=720\n"
+                                      "forwards=1440\n"
+                                      "localReplies=320\n"
+                                      "parseErrors=0\n"
+                                      "routeFailures=0\n"
+                                      "retransAbsorbed=0\n"
+                                      "retransSent=0\n"
+                                      "retransTimeouts=0\n"
+                                      "timerB408s=0\n"
+                                      "registrations=80\n"
+                                      "connsAccepted=0\n"
+                                      "connsDestroyed=0\n"
+                                      "outboundConnects=0\n"
+                                      "overloadRejected=0\n"
+                                      "overloadThrottled=0\n"
+                                      "overloadPanicDrops=0\n"
+                                      "overloadShedEnters=0\n"
+                                      "overloadShedExits=0\n"
+                                      "tcpReadPauses=0\n"
+                                      "tcpReadResumes=0\n"
+                                      "tcpAcceptPauses=0\n"
+                                      "phoneRejected503=0\n"
+                                      "phoneBackoffs=0\n"
+                                      "proxyRecvQueueDrops=0\n"
+                                      "proxyAcceptRefused=0\n"
+                                      "occupancySamples=0\n"
+                                      "udpSent=0\n"
+                                      "udpDelivered=0\n"
+                                      "udpLost=0\n"
+                                      "udpDropped=0\n"
+                                      "tcpConnects=0\n"
+                                      "tcpRefused=0\n"
+                                      "tcpSegments=0\n"
+                                      "tcpBytes=0\n"
+                                      "sctpMessages=3280\n"
+                                      "sctpDropped=0\n"
+                                      "sctpAssocs=80\n"
+                                      "faultDropped=0\n"
+                                      "faultDuplicated=0\n"
+                                      "faultDelayed=0\n"
+                                      "tcpFaultRefused=0\n"
+                                      "tcpRstInjected=0\n"
+                                      "tcpBlackholed=0\n"
+                                      "tcpRecoveries=0\n"
+                                      "txnEntriesAtEnd=960\n"
+                                      "retransEntriesAtEnd=0\n"
+                                      "connEntriesAtEnd=0\n";
+
+const char kSctpSeed29Golden[] = "ops=800\n"
+                                 "callsCompleted=400\n"
+                                 "callsFailed=0\n"
+                                 "phoneRetransmissions=0\n"
+                                 "reconnects=0\n"
+                                 "reconnectFailures=0\n"
+                                 "duration=24179012\n"
+                                 "inviteP50=2359295\n"
+                                 "inviteP99=3670015\n"
+                                 "timedOut=0\n"
+                                 "messagesIn=2560\n"
+                                 "requestsIn=1360\n"
+                                 "responsesIn=1200\n"
+                                 "forwards=2400\n"
+                                 "localReplies=560\n"
+                                 "parseErrors=0\n"
+                                 "routeFailures=0\n"
+                                 "retransAbsorbed=0\n"
+                                 "retransSent=0\n"
+                                 "retransTimeouts=0\n"
+                                 "timerB408s=0\n"
+                                 "registrations=160\n"
+                                 "connsAccepted=0\n"
+                                 "connsDestroyed=0\n"
+                                 "outboundConnects=0\n"
+                                 "overloadRejected=0\n"
+                                 "overloadThrottled=0\n"
+                                 "overloadPanicDrops=0\n"
+                                 "overloadShedEnters=0\n"
+                                 "overloadShedExits=0\n"
+                                 "tcpReadPauses=0\n"
+                                 "tcpReadResumes=0\n"
+                                 "tcpAcceptPauses=0\n"
+                                 "phoneRejected503=0\n"
+                                 "phoneBackoffs=0\n"
+                                 "proxyRecvQueueDrops=0\n"
+                                 "proxyAcceptRefused=0\n"
+                                 "occupancySamples=0\n"
+                                 "udpSent=0\n"
+                                 "udpDelivered=0\n"
+                                 "udpLost=0\n"
+                                 "udpDropped=0\n"
+                                 "tcpConnects=0\n"
+                                 "tcpRefused=0\n"
+                                 "tcpSegments=0\n"
+                                 "tcpBytes=0\n"
+                                 "sctpMessages=5520\n"
+                                 "sctpDropped=0\n"
+                                 "sctpAssocs=160\n"
+                                 "faultDropped=0\n"
+                                 "faultDuplicated=0\n"
+                                 "faultDelayed=0\n"
+                                 "tcpFaultRefused=0\n"
+                                 "tcpRstInjected=0\n"
+                                 "tcpBlackholed=0\n"
+                                 "tcpRecoveries=0\n"
+                                 "txnEntriesAtEnd=1600\n"
+                                 "retransEntriesAtEnd=0\n"
+                                 "connEntriesAtEnd=0\n";
+
 TEST(DigestGolden, UdpPaperScenarioSeed7)
 {
     Scenario sc = paperScenario(core::Transport::Udp, 20, 0);
@@ -309,6 +491,39 @@ TEST(DigestGolden, SstPaperScenarioSeed17)
     sc.seed = 17;
     RunResult r = runScenario(sc);
     EXPECT_EQ(r.digest(), kSstSeed17Golden);
+}
+
+// The datagram architectures' receive loops: the event-driven readiness
+// drain over UDP and SCTP, and the symmetric workers over SCTP. Enough
+// clients that messages queue behind busy workers and loops, so the
+// batch/wake bookkeeping on the shared socket shows in the timing.
+TEST(DigestGolden, EventUdpScenarioSeed19)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 60, 0);
+    sc.proxy.arch = core::ArchKind::EventDriven;
+    sc.callsPerClient = 6;
+    sc.seed = 19;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kEventUdpSeed19Golden);
+}
+
+TEST(DigestGolden, EventSctpScenarioSeed23)
+{
+    Scenario sc = paperScenario(core::Transport::Sctp, 40, 0);
+    sc.proxy.arch = core::ArchKind::EventDriven;
+    sc.callsPerClient = 6;
+    sc.seed = 23;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kEventSctpSeed23Golden);
+}
+
+TEST(DigestGolden, SctpScenarioSeed29)
+{
+    Scenario sc = paperScenario(core::Transport::Sctp, 80, 0);
+    sc.callsPerClient = 5;
+    sc.seed = 29;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kSctpSeed29Golden);
 }
 
 TEST(DigestGolden, RepeatRunsAreByteIdentical)
