@@ -119,8 +119,6 @@ class EventArch final : public ServerArch
 
     sim::Task loopMain(sim::Process &p, int id);
     sim::Task loopMainDatagram(sim::Process &p, int id);
-    sim::Task loopMainDatagramLegacy(sim::Process &p, int id);
-    sim::Task loopMainDatagramBatched(sim::Process &p, int id);
 
     /** Accept-drain: install accepted connections as loop-owned. */
     sim::Task loopAccept(sim::Process &p, Loop &l, sim::SimTime until);
@@ -129,8 +127,6 @@ class EventArch final : public ServerArch
     sim::Task loopReadConn(sim::Process &p, Loop &l,
                            std::uint64_t conn_id);
     sim::Task loopSend(sim::Process &p, Loop &l, SendAction action);
-    sim::Task loopSendDatagram(sim::Process &p, Loop &l,
-                               SendAction action);
     sim::Task loopConnect(sim::Process &p, Loop &l, SendAction action);
 
     /**

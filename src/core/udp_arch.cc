@@ -62,74 +62,24 @@ UdpArch::appendTelemetryGauges(std::vector<ArchGauge> &out) const
 }
 
 sim::Task
-UdpArch::sendOne(sim::Process &p, net::Addr dst, std::string wire)
-{
-    return sock_->sendTo(p, dst, std::move(wire));
-}
-
-sim::Task
 UdpArch::workerMain(sim::Process &p, int id)
-{
-    // Not a coroutine: picks the loop body once at startup. batchMax
-    // <= 1 keeps the legacy one-message path verbatim (digest-pinned);
-    // above that, workers drain bursts through recvBatch/sendBatch.
-    if (host_.net().config().batchMax > 1)
-        return workerBatched(p, id);
-    return workerLegacy(p, id);
-}
-
-sim::Task
-UdpArch::workerLegacy(sim::Process &p, int id)
-{
-    WorkerLoop &loop = *loops_[static_cast<std::size_t>(id)];
-    while (!stop_) {
-        net::Datagram dgram;
-        co_await sock_->recvFrom(p, dgram);
-        if (stop_)
-            break;
-        WorkerLoop::traceRxDatagram(p, dgram.src,
-                                    dgram.payload.size());
-        // The depth left behind after this dequeue is the occupancy
-        // signal the admission decision inside handleMessage sees.
-        loop.noteQueueDepth(recvQueueDepth());
-        co_await loop.dispatch(
-            p, std::move(dgram.payload), MsgSource{dgram.src, 0},
-            [this](sim::Process &sp, SendAction action) {
-                return sendOne(sp, action.dstAddr,
-                               std::move(action.wire));
-            });
-    }
-}
-
-sim::Task
-UdpArch::workerBatched(sim::Process &p, int id)
 {
     WorkerLoop &loop = *loops_[static_cast<std::size_t>(id)];
     const int bmax = host_.net().config().batchMax;
     std::vector<net::Datagram> batch;
     std::vector<net::OutDatagram> outbox;
     while (!stop_) {
-        // One simulated recvmmsg: waits for the first datagram, then
-        // drains whatever else is queued (up to bmax) for one batched
-        // kernel charge.
+        // One simulated recvmmsg (plain recvfrom at the default
+        // batchMax of 1): waits for the first datagram, then drains
+        // whatever else is queued (up to bmax) for one batched kernel
+        // charge. The batch's last dispatch flushes its replies.
         co_await sock_->recvBatch(p, batch, bmax);
         if (stop_)
             break;
-        std::size_t in_hand = batch.size();
-        for (auto &dgram : batch) {
-            WorkerLoop::traceRxDatagram(p, dgram.src,
-                                        dgram.payload.size());
-            --in_hand;
-            // Occupancy = what is still queued in the kernel plus what
-            // this worker drained but has not yet processed, so the
-            // admission signal is batching-invariant.
-            loop.noteDrainedBatch(recvQueueDepth(), in_hand);
-            co_await loop.dispatchCollect(p, std::move(dgram.payload),
-                                          MsgSource{dgram.src, 0},
-                                          outbox, batch.size());
-        }
-        // One simulated sendmmsg flushes everything the batch emitted.
-        co_await sock_->sendBatch(p, outbox);
+        std::size_t left = batch.size();
+        for (auto &dgram : batch)
+            co_await loop.dispatchCollect(p, *sock_, std::move(dgram),
+                                          outbox, batch.size(), --left);
     }
 }
 

@@ -2,22 +2,26 @@
  * @file
  * Receive-loop scaffolding shared by every server architecture.
  *
- * All three architectures (supervisor/worker TCP, symmetric datagram
- * workers, event-driven loops) wrap the same sequence around each
- * received message: trace logging, feeding the overload controller's
- * queue-depth signal, opening a causal span, running the Engine, and
- * transmitting the SendActions it emits. Only the transmit step is
- * architecture-specific, so dispatch() takes it as a callable and the
- * rest lives here once.
+ * Every architecture wraps the same sequence around each received
+ * message: opening a causal span, running the Engine, and transmitting
+ * the SendActions it emits. Stream transports (supervisor/worker TCP,
+ * event-driven loops over TCP/TLS) go through dispatch(), which takes
+ * the architecture-specific transmit step as a callable. Datagram
+ * transports (symmetric workers, event-driven loops over UDP/SCTP/SST)
+ * receive in batches of up to NetConfig::batchMax messages — one
+ * message at the default of 1 — and go through dispatchCollect(),
+ * which also logs the message, feeds the overload controller's
+ * queue-depth signal, and flushes the batch's replies through one
+ * sendBatch.
  *
  * The timer-process bodies (terminated-transaction reclamation and the
  * datagram retransmission walk) are equally architecture-independent
  * and live here too.
  *
- * One WorkerLoop per *process*: dispatch() reuses a member SendAction
- * vector (the parse+forward hot path is allocation-budgeted), so an
- * instance must never be shared between processes that can interleave
- * at co_await points.
+ * One WorkerLoop per *process*: both dispatch paths reuse a member
+ * SendAction vector (the parse+forward hot path is
+ * allocation-budgeted), so an instance must never be shared between
+ * processes that can interleave at co_await points.
  */
 
 #ifndef SIPROX_CORE_WORKER_LOOP_HH
@@ -63,57 +67,19 @@ class WorkerLoop
         }
     }
 
-    /** Trace one received datagram, labeled by source address. */
-    static void
-    traceRxDatagram(sim::Process &p, const net::Addr &src,
-                    std::size_t bytes)
-    {
-        if (sim::trace::enabled()) {
-            sim::trace::log(p.sim().now(), "proxy-rx",
-                            src.toString() + " "
-                                + std::to_string(bytes) + "B");
-        }
-    }
-
-    /** Feed the overload controller's queue-occupancy signal. */
-    void
-    noteQueueDepth(std::size_t depth)
-    {
-        shared_.overload.noteQueueDepth(depth);
-    }
-
-    /** Batched-dequeue variant: messages still queued behind plus
-     *  messages drained but not yet processed (see
-     *  OverloadController::noteDrainedBatch). */
-    void
-    noteDrainedBatch(std::size_t behind, std::size_t in_hand)
-    {
-        shared_.overload.noteDrainedBatch(behind, in_hand);
-    }
-
     /**
-     * Process one raw message: open a causal span covering the engine
-     * work and every transmission it triggers, run the Engine, then
-     * hand each SendAction to @p send (a callable returning a
-     * sim::Task, e.g. a lambda that merely calls a named coroutine —
-     * see the lifetime rule in sim/task.hh).
-     *
-     * @param batch_depth When the message was drained as part of a
-     *        batched dequeue, the batch's size; the span is attributed
-     *        `batched` in the trace export. 0 (or 1) for the legacy
-     *        one-message path.
+     * Process one message read from a stream: open a causal span
+     * covering the engine work and every transmission it triggers, run
+     * the Engine, then hand each SendAction to @p send (a callable
+     * returning a sim::Task, e.g. a lambda that merely calls a named
+     * coroutine — see the lifetime rule in sim/task.hh).
      */
     template <typename SendFn>
     sim::Task
     dispatch(sim::Process &p, std::string raw, MsgSource src,
-             SendFn send, std::size_t batch_depth = 0)
+             SendFn send)
     {
         sim::SpanScope span(p);
-        if (batch_depth > 1) {
-            if (auto *ctx = span.ctx())
-                ctx->batchDepth =
-                    static_cast<std::uint32_t>(batch_depth);
-        }
         actions_.clear();
         co_await engine_.handleMessage(p, std::move(raw), src,
                                        actions_);
@@ -122,28 +88,47 @@ class WorkerLoop
     }
 
     /**
-     * Batched-path variant of dispatch(): instead of transmitting each
-     * SendAction through a per-action coroutine, push them onto
-     * @p outbox for one deferred sendBatch() flush. Saves a coroutine
-     * frame and an awaiter round trip per action on the hot path.
+     * Process one datagram of a batch drained from @p sock (recvBatch
+     * or tryRecvBatch): log it, set the overload controller's
+     * occupancy to what is still queued in the kernel plus the @p left
+     * messages of the batch not yet dispatched (so the admission
+     * signal is batching-invariant), and run the Engine inside a
+     * causal span. The SendActions it emits join @p outbox; the
+     * batch's last message (@p left == 0) flushes the outbox through
+     * one sendBatch() inside its own span, so a one-message batch's
+     * span covers every transmission it triggered.
+     *
+     * @param batch_size Size of the batch; spans of multi-message
+     *        batches carry it as the `batched` trace attribute.
+     * @param left Messages of the batch still to dispatch after this
+     *        one.
      */
     sim::Task
-    dispatchCollect(sim::Process &p, std::string raw, MsgSource src,
+    dispatchCollect(sim::Process &p, net::DatagramSocket &sock,
+                    net::Datagram dgram,
                     std::vector<net::OutDatagram> &outbox,
-                    std::size_t batch_depth)
+                    std::size_t batch_size, std::size_t left)
     {
+        if (sim::trace::enabled()) {
+            sim::trace::log(p.sim().now(), "proxy-rx",
+                            dgram.src.toString() + " "
+                                + std::to_string(dgram.payload.size())
+                                + "B");
+        }
+        shared_.overload.noteDrainedBatch(sock.queueDepth(), left);
         sim::SpanScope span(p);
-        if (batch_depth > 1) {
+        if (batch_size > 1) {
             if (auto *ctx = span.ctx())
-                ctx->batchDepth =
-                    static_cast<std::uint32_t>(batch_depth);
+                ctx->batchDepth = static_cast<std::uint32_t>(batch_size);
         }
         actions_.clear();
-        co_await engine_.handleMessage(p, std::move(raw), src,
-                                       actions_);
+        co_await engine_.handleMessage(p, std::move(dgram.payload),
+                                       MsgSource{dgram.src, 0}, actions_);
         for (auto &action : actions_)
             outbox.push_back(net::OutDatagram{
                 action.dstAddr, std::move(action.wire)});
+        if (left == 0)
+            co_await sock.sendBatch(p, outbox);
     }
 
     /**

@@ -42,7 +42,8 @@ DatagramSocket::sendBatch(sim::Process &p,
         std::size_t bytes = 0;
         for (std::size_t k = i; k < i + n; ++k)
             bytes += msgs[k].payload.size();
-        net.stats().batchSend.note(n);
+        if (bmax > 1)
+            net.stats().batchSend.note(n);
         co_await chargeSendBatch(p, n, bytes);
         for (std::size_t k = i; k < i + n; ++k)
             co_await sendPrepared(p, msgs[k].dst,
@@ -53,24 +54,8 @@ DatagramSocket::sendBatch(sim::Process &p,
 }
 
 sim::Task
-DatagramSocket::recvFrom(sim::Process &p, Datagram &out)
+DatagramSocket::waitReadable(sim::Process &p)
 {
-    while (!tryRecvFrom(out)) {
-        waiters_.push_back(&p);
-        co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
-        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
-        if (it != waiters_.end())
-            waiters_.erase(it);
-        consumeWakeCapacity();
-    }
-    co_await chargeRecv(p, out.payload.size());
-}
-
-sim::Task
-DatagramSocket::recvBatch(sim::Process &p, std::vector<Datagram> &out,
-                          int max)
-{
-    out.clear();
     while (queue_.empty()) {
         waiters_.push_back(&p);
         co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
@@ -79,26 +64,25 @@ DatagramSocket::recvBatch(sim::Process &p, std::vector<Datagram> &out,
             waiters_.erase(it);
         consumeWakeCapacity();
     }
-    std::size_t bytes = 0;
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(max, 1));
-    while (out.size() < cap && !queue_.empty()) {
-        bytes += queue_.front().payload.size();
-        out.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-    }
-    host_.net().stats().batchRecv.note(out.size());
-    co_await chargeRecvBatch(p, out.size(), bytes);
 }
 
-bool
-DatagramSocket::tryRecvFrom(Datagram &out)
+sim::Task
+DatagramSocket::recvFrom(sim::Process &p, Datagram &out)
 {
-    if (queue_.empty())
-        return false;
+    co_await waitReadable(p);
     out = std::move(queue_.front());
     queue_.pop_front();
-    return true;
+    co_await chargeRecvBatch(p, 1, out.payload.size());
+}
+
+sim::Task
+DatagramSocket::recvBatch(sim::Process &p, std::vector<Datagram> &out,
+                          int max)
+{
+    co_await waitReadable(p);
+    std::size_t bytes = 0;
+    tryRecvBatch(out, max, bytes);
+    co_await chargeRecvBatch(p, out.size(), bytes);
 }
 
 std::size_t
@@ -114,21 +98,18 @@ DatagramSocket::tryRecvBatch(std::vector<Datagram> &out, int max,
         out.push_back(std::move(queue_.front()));
         queue_.pop_front();
     }
-    if (!out.empty())
+    // Batch accounting describes batching: at batchMax = 1 every call
+    // is a plain recvfrom, and the net.batch* group stays out of the
+    // digest and metrics.
+    if (!out.empty() && host_.net().config().batchMax > 1)
         host_.net().stats().batchRecv.note(out.size());
     return out.size();
 }
 
 sim::Task
-DatagramSocket::chargeRecv(sim::Process &p, std::size_t bytes)
-{
-    co_await chargeRecvBatch(p, 1, bytes);
-}
-
-sim::Task
 DatagramSocket::chargeBatched(sim::Process &p, sim::SimTime per_msg_cost,
-                              const char *cost_center, std::size_t msgs,
-                              std::size_t bytes)
+                              sim::CostCenterId cost_center,
+                              std::size_t msgs, std::size_t bytes)
 {
     const NetConfig &cfg = host_.net().config();
     sim::SimTime fixed = static_cast<sim::SimTime>(
@@ -138,7 +119,7 @@ DatagramSocket::chargeBatched(sim::Process &p, sim::SimTime per_msg_cost,
     if (fixed > per_msg_cost)
         fixed = per_msg_cost;
     // fixed + marginal == per_msg_cost by construction, so a batch of
-    // one charges exactly the legacy per-message cost.
+    // one charges exactly the per-message cost.
     sim::SimTime marginal = per_msg_cost - fixed;
     co_await p.cpu(fixed
                        + static_cast<sim::SimTime>(msgs) * marginal
@@ -158,20 +139,18 @@ DatagramSocket::enqueueDelivery(Datagram dgram)
     queue_.push_back(std::move(dgram));
     if (queue_.size() > queuePeak_)
         queuePeak_ = queue_.size();
-    // Wake suppression under batching: every wake already in flight
-    // will drain up to batchMax messages, so waking one receiver per
-    // delivery just bounces the extra receivers off an already-empty
-    // queue (a wasted block/wake round trip each) and keeps real batch
-    // depth shallow. Only wake another receiver once the queue exceeds
-    // what the in-flight wakes can drain. batchMax <= 1 keeps the
-    // legacy one-wake-per-delivery behaviour verbatim (digest-pinned).
-    if (!waiters_.empty()
-        && (cfg.batchMax <= 1 || wokenCapacity_ < queue_.size())) {
+    // Wake suppression: every wake already in flight will drain up to
+    // batchMax messages, so waking one receiver per delivery just
+    // bounces the extra receivers off an already-empty queue (a wasted
+    // block/wake round trip each) and keeps real batch depth shallow.
+    // Only wake another receiver once the queue exceeds what the
+    // in-flight wakes can drain.
+    if (!waiters_.empty() && wokenCapacity_ < queue_.size()) {
         sim::Process *w = waiters_.front();
         waiters_.pop_front();
         w->wake();
-        if (cfg.batchMax > 1)
-            wokenCapacity_ += static_cast<std::size_t>(cfg.batchMax);
+        wokenCapacity_ +=
+            static_cast<std::size_t>(std::max(cfg.batchMax, 1));
     }
     notifyPollWaiters();
     return true;
@@ -180,10 +159,8 @@ DatagramSocket::enqueueDelivery(Datagram dgram)
 void
 DatagramSocket::consumeWakeCapacity()
 {
-    const NetConfig &cfg = host_.net().config();
-    if (cfg.batchMax <= 1)
-        return;
-    std::size_t share = static_cast<std::size_t>(cfg.batchMax);
+    const std::size_t share = static_cast<std::size_t>(
+        std::max(host_.net().config().batchMax, 1));
     wokenCapacity_ -= wokenCapacity_ < share ? wokenCapacity_ : share;
 }
 

@@ -15,9 +15,13 @@
  * the batched I/O paths (recvBatch/sendBatch — the recvmmsg/sendmmsg
  * model): one simulated syscall charge covers up to NetConfig::batchMax
  * messages, split as a fixed crossing cost plus a per-packet marginal
- * cost. Transports plug in only their per-message cost centers and the
- * post-charge send body (association/channel setup, fault rolls, wire
- * scheduling).
+ * cost. The proxy architectures receive and send only through these
+ * paths; at the default batchMax of 1 each batch is one message and
+ * costs exactly one recvfrom/sendto. recvFrom/sendTo remain for the
+ * one-message endpoints (phones, the cluster dispatcher, registrar
+ * replication, the retransmission timer). Transports plug in only
+ * their per-message cost centers and the post-charge send body
+ * (association/channel setup, fault rolls, wire scheduling).
  */
 
 #ifndef SIPROX_NET_DATAGRAM_HH
@@ -101,10 +105,6 @@ class DatagramSocket : public sim::Pollable
     sim::Task recvBatch(sim::Process &p, std::vector<Datagram> &out,
                         int max);
 
-    /** Non-blocking receive (no kernel cost charged — pair with
-     *  chargeRecv() when dequeuing from a readiness loop). */
-    bool tryRecvFrom(Datagram &out);
-
     /**
      * Non-blocking batched dequeue of up to @p max messages; no kernel
      * cost charged (readiness loops pair this with chargeRecvBatch()).
@@ -113,14 +113,6 @@ class DatagramSocket : public sim::Pollable
      */
     std::size_t tryRecvBatch(std::vector<Datagram> &out, int max,
                              std::size_t &bytes);
-
-    /**
-     * Kernel receive-path cost for one message of @p bytes. Readiness
-     * loops that dequeue via tryRecvFrom() charge this explicitly so
-     * the non-blocking read path costs the same as a blocking
-     * recvFrom().
-     */
-    sim::Task chargeRecv(sim::Process &p, std::size_t bytes);
 
     /** Batched kernel receive cost: one syscall crossing amortized
      *  over @p msgs messages totalling @p bytes. */
@@ -156,12 +148,12 @@ class DatagramSocket : public sim::Pollable
     /**
      * Batched per-message kernel charge: fixed crossing share plus
      * per-message marginal cost plus the per-byte copy cost, in one
-     * cpu() charge to @p cost_center. Exactly equal to the legacy
-     * per-message charge when @p msgs == 1.
+     * cpu() charge to @p cost_center. Exactly the one-message cost
+     * plus its byte copy when @p msgs == 1.
      */
     sim::Task chargeBatched(sim::Process &p, sim::SimTime per_msg_cost,
-                            const char *cost_center, std::size_t msgs,
-                            std::size_t bytes);
+                            sim::CostCenterId cost_center,
+                            std::size_t msgs, std::size_t bytes);
 
     /**
      * Bounded enqueue on the receive queue; wakes one blocked receiver
@@ -178,12 +170,17 @@ class DatagramSocket : public sim::Pollable
     std::size_t queuePeak_ = 0;
 
   private:
-    /** Retire one in-flight wake's drain share (batching only). */
+    /** Block until the receive queue is non-empty (the wait loop
+     *  recvFrom and recvBatch share). */
+    sim::Task waitReadable(sim::Process &p);
+
+    /** Retire one in-flight wake's drain share. */
     void consumeWakeCapacity();
 
     const char *recvBlockReason_;
-    /** Messages the wakes already in flight will drain (batchMax per
-     *  pending wake) — enqueueDelivery()'s wake-suppression budget. */
+    /** Messages the wakes already in flight will drain (batchMax, at
+     *  least 1, per pending wake) — enqueueDelivery()'s
+     *  wake-suppression budget. */
     std::size_t wokenCapacity_ = 0;
 };
 

@@ -8,6 +8,17 @@
 
 namespace siprox::net {
 
+namespace {
+
+const sim::CostCenterId kSctpSendCc =
+    sim::CostCenters::id("kernel:sctp_send");
+const sim::CostCenterId kSctpRecvCc =
+    sim::CostCenters::id("kernel:sctp_recv");
+const sim::CostCenterId kSctpAssocCc =
+    sim::CostCenters::id("kernel:sctp_assoc");
+
+} // namespace
+
 SctpSocket::SctpSocket(Host &host, std::uint16_t port)
     : DatagramSocket(host, port, "sctp recv")
 {
@@ -20,7 +31,7 @@ SctpSocket::chargeSendBatch(sim::Process &p, std::size_t msgs,
                             std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().sctpSendCost,
-                         "kernel:sctp_send", msgs, bytes);
+                         kSctpSendCc, msgs, bytes);
 }
 
 sim::Task
@@ -28,7 +39,7 @@ SctpSocket::chargeRecvBatch(sim::Process &p, std::size_t msgs,
                             std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().sctpRecvCost,
-                         "kernel:sctp_recv", msgs, bytes);
+                         kSctpRecvCc, msgs, bytes);
 }
 
 // Member coroutine: SctpSocket objects are owned by the Host map and
@@ -45,7 +56,7 @@ SctpSocket::sendPrepared(sim::Process &p, Addr dst, std::string payload)
     if (it == assocs_.end()) {
         // Kernel transparently sets up the association: CPU on this
         // sender plus one extra round trip for the first message.
-        co_await p.cpu(cfg.sctpAssocCost, "kernel:sctp_assoc");
+        co_await p.cpu(cfg.sctpAssocCost, kSctpAssocCc);
         extra = 2 * cfg.latency;
         ++net.stats().sctpAssocs;
         now = p.sim().now();

@@ -8,6 +8,19 @@
 
 namespace siprox::net {
 
+namespace {
+
+const sim::CostCenterId kSstSendCc =
+    sim::CostCenters::id("kernel:sst_send");
+const sim::CostCenterId kSstRecvCc =
+    sim::CostCenters::id("kernel:sst_recv");
+const sim::CostCenterId kSstChannelCc =
+    sim::CostCenters::id("kernel:sst_channel");
+const sim::CostCenterId kSstStreamCc =
+    sim::CostCenters::id("kernel:sst_stream");
+
+} // namespace
+
 const char *
 sstStreamStateName(SstStreamState s)
 {
@@ -36,7 +49,7 @@ SstSocket::chargeSendBatch(sim::Process &p, std::size_t msgs,
                            std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().sstSendCost,
-                         "kernel:sst_send", msgs, bytes);
+                         kSstSendCc, msgs, bytes);
 }
 
 sim::Task
@@ -44,7 +57,7 @@ SstSocket::chargeRecvBatch(sim::Process &p, std::size_t msgs,
                            std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().sstRecvCost,
-                         "kernel:sst_recv", msgs, bytes);
+                         kSstRecvCc, msgs, bytes);
 }
 
 sim::Task
@@ -57,7 +70,7 @@ SstSocket::ensureChannel(sim::Process &p, Addr dst, SimTime &extra)
     if (it == channels_.end()) {
         // Kernel transparently sets up the channel: CPU on this sender
         // plus one extra round trip absorbed by the first frames.
-        co_await p.cpu(net.config().sstChannelCost, "kernel:sst_channel");
+        co_await p.cpu(net.config().sstChannelCost, kSstChannelCc);
         extra = 2 * net.config().latency;
         ++net.stats().sstChannels;
         now = p.sim().now();
@@ -78,7 +91,7 @@ SstSocket::sendPrepared(sim::Process &p, Addr dst, std::string payload)
     co_await ensureChannel(p, dst, extra);
     // One ephemeral stream per message: setup and teardown folded into
     // the send — the cheap-stream design point.
-    co_await p.cpu(cfg.sstStreamCost, "kernel:sst_stream");
+    co_await p.cpu(cfg.sstStreamCost, kSstStreamCc);
     ++net.stats().sstStreams;
     ++net.stats().sstMessages;
     SimTime floor = 0;
@@ -170,7 +183,7 @@ sim::Task
 SstSocket::openStream(sim::Process &p, Addr dst, std::uint32_t &out)
 {
     Network &net = host_.net();
-    co_await p.cpu(net.config().sstStreamCost, "kernel:sst_stream");
+    co_await p.cpu(net.config().sstStreamCost, kSstStreamCc);
     ++net.stats().sstStreams;
     std::uint32_t id = ++nextStreamId_;
     local_.emplace(id, LocalStream{dst, SstStreamState::Open, 0});
@@ -212,7 +225,7 @@ SstSocket::streamHalfClose(sim::Process &p, std::uint32_t id)
                            + " is not open");
     Addr peer = it->second.peer;
     Network &net = host_.net();
-    co_await p.cpu(net.config().sstStreamCost, "kernel:sst_stream");
+    co_await p.cpu(net.config().sstStreamCost, kSstStreamCc);
     SimTime extra = 0;
     co_await ensureChannel(p, peer, extra);
     it = local_.find(id);

@@ -11,6 +11,25 @@
 
 namespace siprox::net {
 
+namespace {
+
+const sim::CostCenterId kTcpSendCc =
+    sim::CostCenters::id("kernel:tcp_send");
+const sim::CostCenterId kTcpRecvCc =
+    sim::CostCenters::id("kernel:tcp_recv");
+const sim::CostCenterId kTcpCloseCc =
+    sim::CostCenters::id("kernel:tcp_close");
+const sim::CostCenterId kTcpAcceptCc =
+    sim::CostCenters::id("kernel:tcp_accept");
+const sim::CostCenterId kTcpConnectCc =
+    sim::CostCenters::id("kernel:tcp_connect");
+const sim::CostCenterId kTlsRecordCc =
+    sim::CostCenters::id("tls:record");
+const sim::CostCenterId kTlsHandshakeCc =
+    sim::CostCenters::id("tls:handshake");
+
+} // namespace
+
 /**
  * Coroutine bodies for TcpConn operations. TcpConn handles are movable,
  * so the coroutines capture the endpoint shared_ptr by value instead of
@@ -38,13 +57,13 @@ struct TcpOps
         const std::size_t bytes = data.size();
         co_await p.cpu(cfg.tcpSendCost
                        + static_cast<SimTime>(bytes) * cfg.perByteCpu,
-                       "kernel:tcp_send");
+                       kTcpSendCc);
         if (ep->tls_) {
             // Record framing + bulk cipher on the way out.
             co_await p.cpu(cfg.tlsRecordCost
                            + static_cast<SimTime>(bytes)
                                * cfg.tlsPerByteCpu,
-                           "tls:record");
+                           kTlsRecordCc);
             ++net.stats().tlsRecords;
         }
         ++net.stats().tcpSegments;
@@ -142,7 +161,7 @@ struct TcpOps
             // the first time it touches the connection.
             SimTime hs = ep->tlsPendingHandshake_;
             ep->tlsPendingHandshake_ = 0;
-            co_await p.cpu(hs, "tls:handshake");
+            co_await p.cpu(hs, kTlsHandshakeCc);
         }
         if (!ep->rxBuf_.empty()) {
             std::size_t n = std::min(max_bytes, ep->rxBuf_.size());
@@ -157,17 +176,17 @@ struct TcpOps
             }
             co_await p.cpu(cfg.tcpRecvCost
                            + static_cast<SimTime>(n) * cfg.perByteCpu,
-                           "kernel:tcp_recv");
+                           kTcpRecvCc);
             if (ep->tls_) {
                 // Record MAC check + bulk decipher on the way in.
                 co_await p.cpu(cfg.tlsRecordCost
                                + static_cast<SimTime>(n)
                                    * cfg.tlsPerByteCpu,
-                               "tls:record");
+                               kTlsRecordCc);
             }
         } else {
             // EOF or reset: an empty read still costs a syscall.
-            co_await p.cpu(cfg.tcpRecvCost, "kernel:tcp_recv");
+            co_await p.cpu(cfg.tcpRecvCost, kTcpRecvCc);
         }
     }
 
@@ -177,7 +196,7 @@ struct TcpOps
         if (!ep)
             co_return;
         co_await p.cpu(ep->host_.net().config().tcpCloseCost,
-                       "kernel:tcp_close");
+                       kTcpCloseCc);
         if (was_open)
             ep->closeHandle("closeop");
     }
@@ -358,7 +377,7 @@ TcpListener::accept(sim::Process &p, TcpConn &out)
     auto ep = std::move(acceptQ_.front());
     acceptQ_.pop_front();
     co_await p.cpu(host_.net().config().tcpAcceptCost,
-                   "kernel:tcp_accept");
+                   kTcpAcceptCc);
     out = TcpConn(std::move(ep));
 }
 
@@ -390,7 +409,7 @@ Host::tcpConnect(sim::Process &p, Addr remote, TcpConn &out,
         lport = ports_.allocEphemeral();
     }
 
-    co_await p.cpu(cfg.tcpConnectCost, "kernel:tcp_connect");
+    co_await p.cpu(cfg.tcpConnectCost, kTcpConnectCc);
 
     auto ep = std::make_shared<TcpEndpoint>(
         *this, Addr{id_, lport}, remote, /*owns_port=*/true,

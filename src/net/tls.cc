@@ -9,6 +9,13 @@
 
 namespace siprox::net {
 
+namespace {
+
+const sim::CostCenterId kTlsHandshakeCc =
+    sim::CostCenters::id("tls:handshake");
+
+} // namespace
+
 bool
 TlsHostState::touchSession(std::uint32_t client, std::size_t capacity)
 {
@@ -64,7 +71,7 @@ Host::tlsConnect(sim::Process &p, Addr remote, TcpConn &out)
     }
 
     // Client-side handshake crypto.
-    co_await p.cpu(hs_cost, "tls:handshake");
+    co_await p.cpu(hs_cost, kTlsHandshakeCc);
 
     // Extra round trips after TCP establishes. Each flight crosses the
     // (possibly impaired) link both ways; a lost or reset flight aborts

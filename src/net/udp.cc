@@ -6,6 +6,15 @@
 
 namespace siprox::net {
 
+namespace {
+
+const sim::CostCenterId kUdpSendCc =
+    sim::CostCenters::id("kernel:udp_send");
+const sim::CostCenterId kUdpRecvCc =
+    sim::CostCenters::id("kernel:udp_recv");
+
+} // namespace
+
 UdpSocket::UdpSocket(Host &host, std::uint16_t port)
     : DatagramSocket(host, port, "udp recv")
 {
@@ -18,7 +27,7 @@ UdpSocket::chargeSendBatch(sim::Process &p, std::size_t msgs,
                            std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().udpSendCost,
-                         "kernel:udp_send", msgs, bytes);
+                         kUdpSendCc, msgs, bytes);
 }
 
 sim::Task
@@ -26,7 +35,7 @@ UdpSocket::chargeRecvBatch(sim::Process &p, std::size_t msgs,
                            std::size_t bytes)
 {
     return chargeBatched(p, host_.net().config().udpRecvCost,
-                         "kernel:udp_recv", msgs, bytes);
+                         kUdpRecvCc, msgs, bytes);
 }
 
 // Member coroutine: UdpSocket objects are owned by the Host map and

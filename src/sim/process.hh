@@ -89,19 +89,14 @@ class Process
     /**
      * Consume @p cost of simulated CPU, charged to @p center. The
      * process competes for the machine's cores; resumption time
-     * includes queueing, context switches, and preemption.
+     * includes queueing, context switches, and preemption. Hot paths
+     * resolve @p center once (CostCenters::id at construction or at
+     * namespace scope), not per charge.
      */
     CpuAwait
     cpu(SimTime cost, CostCenterId center)
     {
         return CpuAwait{*this, cost, center};
-    }
-
-    /** Convenience overload interning the center name per call site. */
-    CpuAwait
-    cpu(SimTime cost, std::string_view center)
-    {
-        return CpuAwait{*this, cost, CostCenters::id(center)};
     }
 
     /**

@@ -51,7 +51,8 @@ smallScenario(Transport transport, ArchKind arch, int batch_max,
     return sc;
 }
 
-// batchMax=1 must be the legacy simulation bit for bit: same digest as
+// batchMax=1 must be the pre-batching simulation bit for bit (one-message
+// batches through the same receive loop): same digest as
 // an untouched scenario (the pre-batching goldens are pinned separately
 // in test_digest_golden.cc) and no batch counter group in the digest.
 TEST(Batching, BatchMaxOneIsByteIdenticalAndGroupless)

@@ -128,8 +128,9 @@ TEST_F(UdpTest, PollReadinessTracksQueue)
     });
     sim.run();
     EXPECT_TRUE(ssock.pollReady());
-    Datagram d;
-    EXPECT_TRUE(ssock.tryRecvFrom(d));
+    std::vector<Datagram> got;
+    std::size_t bytes = 0;
+    EXPECT_EQ(ssock.tryRecvBatch(got, 1, bytes), 1u);
     EXPECT_FALSE(ssock.pollReady());
 }
 

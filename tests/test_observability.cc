@@ -12,6 +12,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "json_check.hh"
 #include "stats/field_table.hh"
@@ -84,29 +85,52 @@ TEST(ObservabilityTest, RecordingDoesNotPerturbTheRun)
 
 TEST(ObservabilityTest, EverySpanDecompositionSumsExactly)
 {
-    RecorderGuard guard;
-    tr::Recorder rec;
-    tr::setRecorder(&rec);
-    RunResult r = runScenario(tcpScenario(false));
-    tr::setRecorder(nullptr);
-
-    ASSERT_GT(r.callsCompleted, 0u);
-    ASSERT_FALSE(rec.calls().empty());
-    for (const auto &[id, cs] : rec.calls()) {
-        sim::SimTime sum = 0;
-        for (sim::SimTime w : cs.wait)
-            sum += w;
-        // Exact in integer nanoseconds: every nanosecond between span
-        // begin and end is attributed to exactly one wait state.
-        EXPECT_EQ(sum, cs.total) << "trace id " << id;
-        EXPECT_GT(cs.spans, 0) << "trace id " << id;
+    // TCP, plus UDP at batchMax = 8 on both datagram architectures:
+    // there the batch's flush cost lands in the span of its last
+    // message, and the sum must still be exact.
+    std::vector<Scenario> scenarios{tcpScenario(false)};
+    for (core::ArchKind arch :
+         {core::ArchKind::Auto, core::ArchKind::EventDriven}) {
+        Scenario sc = paperScenario(core::Transport::Udp, 20, 0);
+        sc.callsPerClient = 4;
+        sc.proxy.arch = arch;
+        sc.net.batchMax = 8;
+        scenarios.push_back(sc);
     }
+    for (const Scenario &sc : scenarios) {
+        SCOPED_TRACE(sc.name + " " + core::archKindName(sc.proxy.arch)
+                     + " batchMax=" + std::to_string(sc.net.batchMax));
+        RecorderGuard guard;
+        tr::Recorder rec;
+        tr::setRecorder(&rec);
+        RunResult r = runScenario(sc);
+        tr::setRecorder(nullptr);
 
-    // The server machine recorded spans with real CPU time.
-    ASSERT_EQ(rec.machineTotals().count("server"), 1u);
-    const auto &server = rec.machineTotals().at("server");
-    EXPECT_GT(server.spans, 0);
-    EXPECT_GT(server.at(tr::Wait::Cpu), 0);
+        ASSERT_GT(r.callsCompleted, 0u);
+        if (sc.net.batchMax > 1)
+            EXPECT_GT(r.net.batchRecv.maxDepth, 1u);
+        ASSERT_FALSE(rec.calls().empty());
+        for (const auto &[id, cs] : rec.calls()) {
+            sim::SimTime sum = 0;
+            for (sim::SimTime w : cs.wait)
+                sum += w;
+            // Exact in integer nanoseconds: every nanosecond between
+            // span begin and end is attributed to exactly one wait
+            // state.
+            EXPECT_EQ(sum, cs.total) << "trace id " << id;
+            EXPECT_GT(cs.spans, 0) << "trace id " << id;
+        }
+
+        // The server machine recorded spans with real CPU time.
+        ASSERT_EQ(rec.machineTotals().count("server"), 1u);
+        const auto &server = rec.machineTotals().at("server");
+        EXPECT_GT(server.spans, 0);
+        EXPECT_GT(server.at(tr::Wait::Cpu), 0);
+        sim::SimTime sum = 0;
+        for (sim::SimTime w : server.wait)
+            sum += w;
+        EXPECT_EQ(sum, server.total);
+    }
 }
 
 TEST(ObservabilityTest, FdCacheRemovesIpcWait)
@@ -133,6 +157,67 @@ TEST(ObservabilityTest, FdCacheRemovesIpcWait)
     EXPECT_GT(base_ipc, 0);
     EXPECT_LT(cached_ipc, base_ipc);
 }
+
+/** Run @p sc with the recorder on; return the exported timeline. */
+siprox::testjson::ValuePtr
+recordTimeline(const Scenario &sc, tr::Recorder &rec)
+{
+    tr::setRecorder(&rec);
+    runScenario(sc);
+    tr::setRecorder(nullptr);
+    std::ostringstream os;
+    rec.writeJson(os);
+    return siprox::testjson::parse(os.str());
+}
+
+/** CPU microseconds of the first span labeled @p label on the server
+ *  machine's track, or -1 if there is none. */
+double
+firstServerSpanCpuUs(const siprox::testjson::Value &doc,
+                     const std::string &label)
+{
+    double server_pid = -1;
+    for (const auto &evp : doc.at("traceEvents").items) {
+        const auto &e = *evp;
+        if (e.at("ph").str == "M" && e.at("name").str == "process_name"
+            && e.at("args").at("name").str == "server")
+            server_pid = e.at("pid").number;
+    }
+    for (const auto &evp : doc.at("traceEvents").items) {
+        const auto &e = *evp;
+        if (e.at("ph").str == "X" && e.has("cat")
+            && e.at("cat").str == "span"
+            && e.at("pid").number == server_pid && e.at("name").str == label)
+            return e.at("args").at("cpu_us").number;
+    }
+    return -1;
+}
+
+// A server span covers the kernel send charge of every message its
+// request triggered: the datagram loop flushes a batch's replies
+// inside the span of the batch's last message, so at the default
+// batchMax of 1 each span owns its own sends. Raising the send cost by
+// 10 us must raise the first REGISTER span (one 200 OK sent, on an
+// idle server) by exactly 10 us; a flush outside the span would leave
+// it unchanged.
+TEST(ObservabilityTest, DatagramSpanCoversItsSends)
+{
+    RecorderGuard guard;
+    Scenario sc = paperScenario(core::Transport::Udp, 4, 0);
+    sc.callsPerClient = 2;
+    tr::Recorder base_rec;
+    auto base = recordTimeline(sc, base_rec);
+
+    sc.net.udpSendCost += sim::usecs(10);
+    tr::Recorder dear_rec;
+    auto dear = recordTimeline(sc, dear_rec);
+
+    double base_us = firstServerSpanCpuUs(*base, "REGISTER");
+    double dear_us = firstServerSpanCpuUs(*dear, "REGISTER");
+    ASSERT_GT(base_us, 0.0);
+    EXPECT_NEAR(dear_us - base_us, 10.0, 1e-6);
+}
+
 
 TEST(ObservabilityTest, TimelineJsonHasTheExpectedTracks)
 {

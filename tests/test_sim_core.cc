@@ -170,7 +170,7 @@ Task
 burnCpu(Process &p, SimTime cost, int reps)
 {
     for (int i = 0; i < reps; ++i)
-        co_await p.cpu(cost, "test:burn");
+        co_await p.cpu(cost, CostCenters::id("test:burn"));
 }
 
 TEST(ProcessTest, CpuAdvancesSimTime)
@@ -221,7 +221,7 @@ TEST(ProcessTest, SleepAdvancesTimeWithoutCpu)
 Task
 failer(Process &p)
 {
-    co_await p.cpu(usecs(1), "test:fail");
+    co_await p.cpu(usecs(1), CostCenters::id("test:fail"));
     throw std::runtime_error("boom");
 }
 
@@ -236,7 +236,7 @@ TEST(ProcessTest, RootExceptionPropagatesToRun)
 Task
 childTask(Process &p, int *order, int idx)
 {
-    co_await p.cpu(usecs(1), "test:child");
+    co_await p.cpu(usecs(1), CostCenters::id("test:child"));
     order[idx] = idx + 1;
 }
 
@@ -265,7 +265,7 @@ TEST(ProcessTest, NestedTasksRunInSequence)
 Task
 nestedFailer(Process &p)
 {
-    co_await p.cpu(usecs(1), "test:x");
+    co_await p.cpu(usecs(1), CostCenters::id("test:x"));
     throw std::logic_error("inner");
 }
 

@@ -28,7 +28,7 @@ sleepyLoop(Process &p, int reps, SimTime sleep_time, SimTime work)
 {
     for (int i = 0; i < reps; ++i) {
         co_await p.sleepFor(sleep_time);
-        co_await p.cpu(work, "test:work");
+        co_await p.cpu(work, CostCenters::id("test:work"));
     }
 }
 
@@ -36,7 +36,7 @@ Task
 burnLoop(Process &p, SimTime total, SimTime chunk)
 {
     for (SimTime done = 0; done < total; done += chunk)
-        co_await p.cpu(chunk, "test:burn");
+        co_await p.cpu(chunk, CostCenters::id("test:burn"));
 }
 
 TEST(DynPrioTest, FreshProcessHasNoBonus)
@@ -107,7 +107,7 @@ interactiveVsHog(Process &p, SimTime *latency_sum, int reps)
     for (int i = 0; i < reps; ++i) {
         co_await p.sleepFor(msecs(50));
         SimTime before = p.sim().now();
-        co_await p.cpu(usecs(10), "test:probe");
+        co_await p.cpu(usecs(10), CostCenters::id("test:probe"));
         *latency_sum += p.sim().now() - before - usecs(10);
     }
 }

@@ -27,7 +27,7 @@ noop(Process &p)
 Task
 burn(Process &p, SimTime cost)
 {
-    co_await p.cpu(cost, "test:burn");
+    co_await p.cpu(cost, CostCenters::id("test:burn"));
 }
 
 TEST(TaskTest, DefaultIsInvalidAndDone)

@@ -27,7 +27,7 @@ noCtxConfig()
 Task
 burn(Process &p, SimTime cost, SimTime *finished)
 {
-    co_await p.cpu(cost, "test:burn");
+    co_await p.cpu(cost, CostCenters::id("test:burn"));
     *finished = p.sim().now();
 }
 
@@ -99,7 +99,7 @@ wakeAndBurn(Process &p, SimTime sleep_first, SimTime cost,
             SimTime *finished)
 {
     co_await p.sleepFor(sleep_first);
-    co_await p.cpu(cost, "test:burn");
+    co_await p.cpu(cost, CostCenters::id("test:burn"));
     *finished = p.sim().now();
 }
 
@@ -177,7 +177,7 @@ Task
 yieldLoop(Process &p, int reps, std::vector<int> *order, int id)
 {
     for (int i = 0; i < reps; ++i) {
-        co_await p.cpu(usecs(1), "test:burn");
+        co_await p.cpu(usecs(1), CostCenters::id("test:burn"));
         order->push_back(id);
         co_await p.yieldCpu();
     }
@@ -230,7 +230,7 @@ Task
 manyBursts(Process &p, int reps)
 {
     for (int i = 0; i < reps; ++i)
-        co_await p.cpu(usecs(3), "test:burn");
+        co_await p.cpu(usecs(3), CostCenters::id("test:burn"));
 }
 
 TEST(SchedulerTest, ManyProcessesAllComplete)

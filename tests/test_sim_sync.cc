@@ -30,7 +30,7 @@ lockAndHold(Process &p, SpinLock *lock, SimTime hold, int *counter)
 {
     co_await lock->acquire(p);
     int v = *counter;
-    co_await p.cpu(hold, "test:critical");
+    co_await p.cpu(hold, CostCenters::id("test:critical"));
     *counter = v + 1; // lost update unless mutual exclusion holds
     lock->release();
 }
@@ -91,7 +91,7 @@ mutexWorker(Process &p, SimMutex *mu, SimTime hold, int *active,
     co_await mu->acquire(p);
     ++*active;
     *max_active = std::max(*max_active, *active);
-    co_await p.cpu(hold, "test:critical");
+    co_await p.cpu(hold, CostCenters::id("test:critical"));
     --*active;
     ++*count;
     mu->release();

@@ -104,9 +104,9 @@ spannedWork(Process &p)
         s->callId = "test-call-1";
         s->label = "test";
     }
-    co_await p.cpu(usecs(100), "test:trace:work");
+    co_await p.cpu(usecs(100), CostCenters::id("test:trace:work"));
     co_await p.sleepFor(usecs(50));
-    co_await p.cpu(usecs(25), "test:trace:work");
+    co_await p.cpu(usecs(25), CostCenters::id("test:trace:work"));
 }
 
 TEST(RecorderTest, SpanDecompositionSumsExactly)
