@@ -6,8 +6,9 @@
  * binary measures the library's real cost on the host CPU: ns/op and
  * allocations/op for the SIP parse/serialize/forward micros and the
  * event queue, plus wall-clock seconds and events/sec for a fixed
- * fig3-style scenario. Results land in BENCH_hotpath.json so every PR's
- * numbers are comparable — see docs/performance.md.
+ * fig3-style scenario, and the resident footprint of one simulated
+ * phone. Results land in BENCH_hotpath.json so every PR's numbers are
+ * comparable — see docs/performance.md.
  *
  * Allocations are counted by interposing global operator new/delete in
  * this binary only; the library itself is untouched.
@@ -31,6 +32,8 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "sim/event_queue.hh"
 #include "sip/builders.hh"
@@ -220,6 +223,65 @@ runSweep(const char *name, core::Transport transport, int clients,
     return out;
 }
 
+/**
+ * Resident footprint per phone: two UDP fleets of different sizes,
+ * each run in a forked child so neither inherits the other's heap
+ * high-water mark; the growth of the children's peak RSS over the
+ * phones added is the marginal cost of one phone (its frames, queues
+ * and sockets plus its share of the proxy's per-user state). Forked
+ * before anything else runs, so both children start from the same
+ * small parent.
+ */
+struct Footprint
+{
+    int phones[2] = {0, 0};
+    long peakRssKb[2] = {0, 0};
+    double kbPerPhone = 0;
+};
+
+long
+childPeakRssKb(int clients)
+{
+    const pid_t pid = fork();
+    if (pid < 0) {
+        std::perror("fork");
+        std::exit(1);
+    }
+    if (pid == 0) {
+        workload::Scenario sc =
+            workload::paperScenario(core::Transport::Udp, clients, 0);
+        sc.callsPerClient = 1;
+        sc.seed = 1;
+        workload::RunResult r = workload::runScenario(sc);
+        _exit(r.callsCompleted == static_cast<std::uint64_t>(clients)
+                  ? 0
+                  : 1);
+    }
+    int status = 0;
+    struct rusage ru;
+    if (wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status)
+        || WEXITSTATUS(status) != 0) {
+        std::fprintf(stderr, "footprint child (%d clients) failed\n",
+                     clients);
+        std::exit(1);
+    }
+    return ru.ru_maxrss;
+}
+
+Footprint
+measureFootprint(bool smoke)
+{
+    Footprint f;
+    const int clients[2] = {smoke ? 100 : 500, smoke ? 300 : 2500};
+    for (int i = 0; i < 2; ++i) {
+        f.phones[i] = 2 * clients[i];
+        f.peakRssKb[i] = childPeakRssKb(clients[i]);
+    }
+    f.kbPerPhone = static_cast<double>(f.peakRssKb[1] - f.peakRssKb[0])
+        / (f.phones[1] - f.phones[0]);
+    return f;
+}
+
 long
 peakRssKb()
 {
@@ -230,7 +292,7 @@ peakRssKb()
 
 void
 writeMetrics(std::FILE *f, const std::vector<Micro> &micros,
-             const std::vector<SweepResult> &sweeps)
+             const std::vector<SweepResult> &sweeps, const Footprint &fp)
 {
     std::fprintf(f, "{\n  \"micros\": {\n");
     for (std::size_t i = 0; i < micros.size(); ++i) {
@@ -258,7 +320,12 @@ writeMetrics(std::FILE *f, const std::vector<Micro> &micros,
                          : 0.0,
                      s.allocsPerOp, i + 1 < sweeps.size() ? "," : "");
     }
-    std::fprintf(f, "  },\n  \"peak_rss_kb\": %ld\n}", peakRssKb());
+    std::fprintf(f,
+                 "  },\n  \"phone_footprint\": {\"phones\": [%d, %d], "
+                 "\"peak_rss_kb\": [%ld, %ld], \"kb_per_phone\": %.2f},\n",
+                 fp.phones[0], fp.phones[1], fp.peakRssKb[0],
+                 fp.peakRssKb[1], fp.kbPerPhone);
+    std::fprintf(f, "  \"peak_rss_kb\": %ld\n}", peakRssKb());
 }
 
 } // namespace
@@ -268,6 +335,7 @@ main(int argc, char **argv)
 {
     const bool smoke = envFlag("SIPROX_PERF_SMOKE");
     const std::uint64_t k = smoke ? 2000 : 100000;
+    const Footprint footprint = measureFootprint(smoke);
 
     std::string wire = sampleInvite().serialize();
     SipMessage built = sampleInvite();
@@ -347,7 +415,7 @@ main(int argc, char **argv)
             std::perror("fopen");
             return 1;
         }
-        writeMetrics(f, micros, sweeps);
+        writeMetrics(f, micros, sweeps, footprint);
         std::fprintf(f, "\n");
         std::fclose(f);
     } else {
@@ -372,7 +440,7 @@ main(int argc, char **argv)
             }
         }
         std::fprintf(f, "\"current\": ");
-        writeMetrics(f, micros, sweeps);
+        writeMetrics(f, micros, sweeps, footprint);
         std::fprintf(f, "\n}\n");
         std::fclose(f);
     }
@@ -389,6 +457,9 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(s.ops),
                      s.allocsPerOp);
     }
+    std::fprintf(stderr, "phone footprint %.2f KB/phone (%d -> %d phones)\n",
+                 footprint.kbPerPhone, footprint.phones[0],
+                 footprint.phones[1]);
     std::fprintf(stderr, "peak RSS %ld KB -> %s\n", peakRssKb(),
                  out_path);
     return 0;

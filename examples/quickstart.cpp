@@ -14,6 +14,7 @@
 #include "phone/phone.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
+#include "stats/histogram.hh"
 
 int
 main()
@@ -48,9 +49,11 @@ main()
     phone::Phone bob(client_machine, client_host, callee_cfg);
     bob.startCallee(calls, &registered, nullptr);
 
+    stats::LatencyHistogram invite_latency;
     phone::PhoneConfig caller_cfg = callee_cfg;
     caller_cfg.user = "alice";
     caller_cfg.port = 6000;
+    caller_cfg.inviteLatency = &invite_latency;
     phone::Phone alice(client_machine, client_host, caller_cfg);
     alice.startCaller(calls, "bob", &registered, &start, &done);
 
@@ -67,7 +70,7 @@ main()
     std::printf("SIP transactions (invite+bye): %llu\n",
                 static_cast<unsigned long long>(stats.opsCompleted));
     std::printf("median INVITE setup latency: %.2f ms\n",
-                sim::toMsecs(stats.inviteLatency.percentile(0.5)));
+                sim::toMsecs(invite_latency.percentile(0.5)));
     const auto &counters = proxy.shared().counters;
     std::printf("proxy: %llu messages in, %llu forwarded, "
                 "%llu local replies\n",

@@ -59,9 +59,7 @@ DatagramSocket::waitReadable(sim::Process &p)
     while (queue_.empty()) {
         waiters_.push_back(&p);
         co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
-        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
-        if (it != waiters_.end())
-            waiters_.erase(it);
+        waiters_.remove(&p);
         consumeWakeCapacity();
     }
 }

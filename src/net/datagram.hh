@@ -28,11 +28,11 @@
 #define SIPROX_NET_DATAGRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "net/addr.hh"
+#include "sim/fifo.hh"
 #include "sim/pollable.hh"
 #include "sim/process.hh"
 #include "sim/task.hh"
@@ -164,8 +164,8 @@ class DatagramSocket : public sim::Pollable
 
     Host &host_;
     std::uint16_t port_;
-    std::deque<Datagram> queue_;
-    std::deque<sim::Process *> waiters_;
+    sim::Fifo<Datagram> queue_;
+    sim::Fifo<sim::Process *> waiters_;
     std::uint64_t overflowDrops_ = 0;
     std::size_t queuePeak_ = 0;
 

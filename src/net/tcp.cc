@@ -150,10 +150,7 @@ struct TcpOps
                && ep->state_ == TcpState::Established) {
             ep->waiters_.push_back(&p);
             co_await p.block("tcp recv", sim::trace::Wait::Socket);
-            auto &q = ep->waiters_;
-            auto it = std::find(q.begin(), q.end(), &p);
-            if (it != q.end())
-                q.erase(it);
+            ep->waiters_.remove(&p);
         }
         const NetConfig &cfg = ep->host_.net().config();
         if (ep->tlsPendingHandshake_ > 0) {
@@ -370,9 +367,7 @@ TcpListener::accept(sim::Process &p, TcpConn &out)
     while (acceptQ_.empty()) {
         waiters_.push_back(&p);
         co_await p.block("tcp accept", sim::trace::Wait::Socket);
-        auto it = std::find(waiters_.begin(), waiters_.end(), &p);
-        if (it != waiters_.end())
-            waiters_.erase(it);
+        waiters_.remove(&p);
     }
     auto ep = std::move(acceptQ_.front());
     acceptQ_.pop_front();
@@ -481,9 +476,7 @@ Host::tcpConnect(sim::Process &p, Addr remote, TcpConn &out,
     while (ep->state_ == TcpState::SynSent) {
         ep->waiters_.push_back(&p);
         co_await p.block("tcp connect", sim::trace::Wait::Socket);
-        auto it = std::find(ep->waiters_.begin(), ep->waiters_.end(), &p);
-        if (it != ep->waiters_.end())
-            ep->waiters_.erase(it);
+        ep->waiters_.remove(&p);
     }
     if (ep->state_ == TcpState::Reset) {
         handle.closeQuiet();

@@ -17,12 +17,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "net/addr.hh"
 #include "net/network.hh"
+#include "sim/fifo.hh"
 #include "sim/pollable.hh"
 #include "sim/process.hh"
 #include "sim/task.hh"
@@ -112,7 +112,7 @@ class TcpEndpoint : public sim::Pollable,
      *  handshake in this model. */
     sim::SimTime tlsPendingHandshake_ = 0;
     std::shared_ptr<TcpEndpoint> peer_;
-    std::deque<sim::Process *> waiters_;
+    sim::Fifo<sim::Process *> waiters_;
 #ifdef SIPROX_TCP_HANDLE_DEBUG
   public:
     std::string handleLog;
@@ -267,8 +267,8 @@ class TcpListener : public sim::Pollable
 
     Host &host_;
     std::uint16_t port_;
-    std::deque<std::shared_ptr<TcpEndpoint>> acceptQ_;
-    std::deque<sim::Process *> waiters_;
+    sim::Fifo<std::shared_ptr<TcpEndpoint>> acceptQ_;
+    sim::Fifo<sim::Process *> waiters_;
     std::uint64_t backlogRefused_ = 0;
 };
 

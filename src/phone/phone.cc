@@ -260,7 +260,7 @@ class Phone::Link
     net::SstSocket *sst_ = nullptr;
     std::unique_ptr<TcpFlow> active_;
     std::vector<std::unique_ptr<TcpFlow>> zombies_;
-    std::deque<std::string> ready_;
+    sim::Fifo<std::string> ready_;
 };
 
 // ---------------------------------------------------------------------------
@@ -581,11 +581,11 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
     co_await p.cpu(cfg_.processCost, kPhoneCc);
     bool sent = false;
     co_await link_->send(p, ack.serialize(), &sent, requestDst_);
-    stats_.inviteLatency.record(p.sim().now() - t0);
+    if (cfg_.inviteLatency)
+        cfg_.inviteLatency->record(p.sim().now() - t0);
     opDone(p.sim().now());
 
     // --- BYE transaction ------------------------------------------------
-    sim::SimTime t1 = p.sim().now();
     sip::RequestSpec bye_spec = spec;
     bye_spec.method = sip::Method::Bye;
     if (auto contact = final_rsp->contactUri())
@@ -603,7 +603,6 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
     }
     if (!bye_rsp || !bye_rsp->isSuccess())
         co_return;
-    stats_.byeLatency.record(p.sim().now() - t1);
     opDone(p.sim().now());
     *ok = true;
 }

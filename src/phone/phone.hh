@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include "net/sctp.hh"
 #include "net/tcp.hh"
 #include "net/udp.hh"
+#include "sim/fifo.hh"
 #include "sim/machine.hh"
 #include "sim/sync.hh"
 #include "sip/builders.hh"
@@ -52,6 +52,9 @@ struct PhoneConfig
     sim::SimTime processCost = sim::usecs(3);
     /** Cap on the exponential backoff honoring 503 Retry-After. */
     sim::SimTime retryBackoffCap = sim::secs(8);
+    /** Run-level sink a caller records each INVITE transaction's
+     *  latency into (shared by every caller of a run; null = none). */
+    stats::LatencyHistogram *inviteLatency = nullptr;
 };
 
 /**
@@ -91,8 +94,6 @@ struct PhoneStats
     std::uint64_t backoffs = 0;    ///< Retry-After sleeps taken
     sim::SimTime firstOpDone = -1;
     sim::SimTime lastOpDone = 0;
-    stats::LatencyHistogram inviteLatency;
-    stats::LatencyHistogram byeLatency;
 };
 
 /**
@@ -193,7 +194,7 @@ class Phone
     net::Addr requestDst_{};
     /** Requests received while awaiting a response (e.g. an INVITE
      *  arriving during a re-REGISTER); replayed to the callee loop. */
-    std::deque<std::string> pendingRequests_;
+    sim::Fifo<std::string> pendingRequests_;
 };
 
 } // namespace siprox::phone

@@ -8,12 +8,14 @@
  * type erasure. Handles address a slot by (index, generation); a slot's
  * generation bumps on release, so stale handles are harmless, and an
  * aliveness tag keeps cancel()/pending() safe even after the queue
- * itself is destroyed. Ordering uses a two-tier 4-ary min-heap: the
- * near tier holds events earlier than every deferred timer and stays
- * small (cache-resident) under per-CPU-burst churn, while long SIP
- * timers wait in the far tier and are touched only when due. Keys
- * (time, seq) are unique, so pop order — and therefore every digest —
- * is identical to a single heap's.
+ * itself is destroyed. Ordering uses one 4-ary min-heap keyed by
+ * (time, seq). Cancelled entries stay in the heap until they reach the
+ * top or until they outnumber the live ones: then one O(n) pass drops
+ * them all, releases their slots and re-heapifies, so a run that
+ * cancels most of its timers (poll timeouts) keeps the heap at most
+ * twice its live size. Keys are unique, so the pop order of the live
+ * events — and therefore every digest — does not depend on the heap's
+ * layout or on when the dead entries leave it.
  */
 
 #ifndef SIPROX_SIM_EVENT_QUEUE_HH
@@ -35,9 +37,9 @@ namespace siprox::sim {
 class EventQueue;
 
 /**
- * Handle to a scheduled event; allows cancellation. Cancelled events stay
- * in the heap but are skipped when popped. Copies share the underlying
- * event: cancelling through one copy is visible to the others.
+ * Handle to a scheduled event; allows cancellation. Cancelled events are
+ * never run. Copies share the underlying event: cancelling through one
+ * copy is visible to the others.
  */
 class EventHandle
 {
@@ -112,37 +114,26 @@ class EventQueue
         }
         s.active = true;
         s.cancelled = false;
-        Entry e{at, nextSeq_++, idx, s.gen};
-        // Two-tier heap: events earlier than every deferred timer go to
-        // the small near heap, which stays cache-resident under the
-        // per-CPU-burst churn; long timers sit in far and are only
-        // touched when they come due (see docs/performance.md).
-        if (!far_.empty() && e.at < far_.front().at)
-            heapPush(near_, e);
-        else
-            heapPush(far_, e);
+        s.inHeap = true;
+        heapPush(Entry{at, nextSeq_++, idx});
         return EventHandle(alive_, this, idx, s.gen);
     }
 
-    bool empty() const { return near_.empty() && far_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
-    std::size_t size() const { return near_.size() + far_.size(); }
+    /** Heap entries, cancelled ones not yet dropped included. */
+    std::size_t size() const { return heap_.size(); }
 
     /** Events popped and run so far (wall-clock perf accounting). */
     std::uint64_t popped() const { return popped_; }
 
-    /** Time of the earliest pending event; kTimeNever if none. */
+    /** Time of the earliest pending (not cancelled) event; kTimeNever
+     *  if none. Drops cancelled entries off the top on the way. */
     SimTime
-    nextTime() const
+    nextTime()
     {
-        if (near_.empty() && far_.empty())
-            return kTimeNever;
-        if (near_.empty())
-            return far_.front().at;
-        if (far_.empty())
-            return near_.front().at;
-        return near_.front().before(far_.front()) ? near_.front().at
-                                                  : far_.front().at;
+        dropCancelledTop();
+        return heap_.empty() ? kTimeNever : heap_.front().at;
     }
 
     /**
@@ -153,31 +144,33 @@ class EventQueue
     bool
     runNext(SimTime &now)
     {
-        while (!near_.empty() || !far_.empty()) {
-            Entry e = popMin();
-            Slot &s = slot(e.slot);
-            if (!s.active || s.gen != e.gen)
-                continue; // stale entry
-            if (s.cancelled) {
-                releaseSlot(e.slot);
-                continue;
-            }
-            now = e.at;
-            ++popped_;
-            // The slot stays live (and unavailable for reuse) while the
-            // callback runs, so the callback may schedule more events;
-            // slab storage never moves, so &s stays valid.
-            s.invoke(s);
-            releaseSlot(e.slot);
-            return true;
-        }
-        return false;
+        // Pops shrink the heap too: re-check the majority rule here,
+        // while no entry is out of the heap.
+        dropCancelledIfMajority();
+        dropCancelledTop();
+        if (heap_.empty())
+            return false;
+        Entry e = heapPop();
+        Slot &s = slot(e.slot);
+        now = e.at;
+        ++popped_;
+        // The slot stays live (and unavailable for reuse) while the
+        // callback runs, so the callback may schedule more events;
+        // slab storage never moves, so &s stays valid. Out of the heap,
+        // a self-cancel marks it without counting it as a dead entry.
+        s.inHeap = false;
+        s.invoke(s);
+        releaseSlot(e.slot);
+        return true;
     }
 
   private:
     friend class EventHandle;
 
     static constexpr std::size_t kSlabSize = 256;
+    /** Heaps smaller than this keep their cancelled entries until they
+     *  surface: dropping them would not pay for the pass. */
+    static constexpr std::size_t kDropFloor = 64;
 
     struct Slot
     {
@@ -187,6 +180,8 @@ class EventQueue
         std::uint32_t gen = 0;
         bool active = false;
         bool cancelled = false;
+        /** Has an entry in the heap (false while its callback runs). */
+        bool inHeap = false;
     };
 
     struct Entry
@@ -194,7 +189,6 @@ class EventQueue
         SimTime at;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
 
         /** Strict ordering by (time, insertion seq); keys are unique,
          *  so every correct heap pops in exactly the same order. */
@@ -267,8 +261,64 @@ class EventQueue
     cancelSlot(std::uint32_t idx, std::uint32_t gen)
     {
         Slot &s = slot(idx);
-        if (s.active && s.gen == gen)
-            s.cancelled = true;
+        if (!s.active || s.gen != gen || s.cancelled)
+            return;
+        s.cancelled = true;
+        if (s.inHeap) {
+            ++cancelledInHeap_;
+            dropCancelledIfMajority();
+        }
+    }
+
+    /** Keep the heap at most twice its live size (above the floor). */
+    void
+    dropCancelledIfMajority()
+    {
+        if (cancelledInHeap_ * 2 > heap_.size()
+            && heap_.size() >= kDropFloor) {
+            dropCancelled();
+        }
+    }
+
+    /** Pop cancelled entries off the top of the heap, releasing their
+     *  slots, so the top (if any) is a live event. */
+    void
+    dropCancelledTop()
+    {
+        while (!heap_.empty() && slot(heap_.front().slot).cancelled) {
+            const std::uint32_t idx = heapPop().slot;
+            --cancelledInHeap_;
+            releaseSlot(idx);
+        }
+    }
+
+    /**
+     * Drop every cancelled entry: filter the heap, re-heapify, then
+     * release the dropped slots. The heap is whole again before any
+     * callable is destroyed, so a destructor that cancels or schedules
+     * finds a consistent queue.
+     */
+    void
+    dropCancelled()
+    {
+        std::vector<std::uint32_t> dead;
+        dead.reserve(cancelledInHeap_);
+        std::size_t live = 0;
+        for (const Entry &e : heap_) {
+            if (slot(e.slot).cancelled)
+                dead.push_back(e.slot);
+            else
+                heap_[live++] = e;
+        }
+        heap_.resize(live);
+        // Floyd's heapify: sift every internal node, last one first.
+        if (live > 1) {
+            for (std::size_t i = (live - 2) / 4 + 1; i-- > 0;)
+                siftDown(i, heap_[i]);
+        }
+        cancelledInHeap_ = 0;
+        for (std::uint32_t idx : dead)
+            releaseSlot(idx);
     }
 
     bool
@@ -280,64 +330,58 @@ class EventQueue
 
     // 4-ary min-heap: half the depth of a binary heap and children on
     // one cache line, which matters at tens of millions of events/run.
-    static void
-    heapPush(std::vector<Entry> &heap, Entry e)
+    void
+    heapPush(Entry e)
     {
-        std::size_t i = heap.size();
-        heap.push_back(e);
+        std::size_t i = heap_.size();
+        heap_.push_back(e);
         while (i > 0) {
             std::size_t parent = (i - 1) / 4;
-            if (!heap[i].before(heap[parent]))
+            if (!heap_[i].before(heap_[parent]))
                 break;
-            std::swap(heap[i], heap[parent]);
+            std::swap(heap_[i], heap_[parent]);
             i = parent;
         }
     }
 
-    static Entry
-    heapPop(std::vector<Entry> &heap)
+    Entry
+    heapPop()
     {
-        Entry top = heap.front();
-        Entry last = heap.back();
-        heap.pop_back();
-        std::size_t n = heap.size();
-        if (n > 0) {
-            std::size_t i = 0;
-            for (;;) {
-                std::size_t first = i * 4 + 1;
-                if (first >= n)
-                    break;
-                std::size_t best = first;
-                std::size_t end = first + 4 < n ? first + 4 : n;
-                for (std::size_t c = first + 1; c < end; ++c) {
-                    if (heap[c].before(heap[best]))
-                        best = c;
-                }
-                if (!heap[best].before(last))
-                    break;
-                heap[i] = heap[best];
-                i = best;
-            }
-            heap[i] = last;
-        }
+        Entry top = heap_.front();
+        Entry last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0, last);
         return top;
     }
 
-    /** Pop the global minimum across both tiers (keys are unique, so
-     *  the result is identical to a single heap's pop order). */
-    Entry
-    popMin()
+    /** Place @p e at hole @p i, moving it down past smaller children. */
+    void
+    siftDown(std::size_t i, Entry e)
     {
-        if (near_.empty())
-            return heapPop(far_);
-        if (far_.empty())
-            return heapPop(near_);
-        return near_.front().before(far_.front()) ? heapPop(near_)
-                                                  : heapPop(far_);
+        const std::size_t n = heap_.size();
+        for (;;) {
+            std::size_t first = i * 4 + 1;
+            if (first >= n)
+                break;
+            std::size_t best = first;
+            std::size_t end = first + 4 < n ? first + 4 : n;
+            for (std::size_t c = first + 1; c < end; ++c) {
+                if (heap_[c].before(heap_[best]))
+                    best = c;
+            }
+            if (!heap_[best].before(e))
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = e;
     }
 
-    std::vector<Entry> near_;
-    std::vector<Entry> far_;
+    std::vector<Entry> heap_;
+    /** Cancelled entries still in heap_ (dropped once they are the
+     *  majority). */
+    std::size_t cancelledInHeap_ = 0;
     std::vector<std::unique_ptr<Slot[]>> slabs_;
     std::vector<std::uint32_t> free_;
     std::uint64_t nextSeq_ = 0;

@@ -1,6 +1,5 @@
 #include "sip/message.hh"
 
-#include <cctype>
 #include <charconv>
 
 namespace siprox::sip {
@@ -25,10 +24,8 @@ iequals(std::string_view a, std::string_view b)
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i]))
-            != std::tolower(static_cast<unsigned char>(b[i]))) {
+        if (asciiLower(a[i]) != asciiLower(b[i]))
             return false;
-        }
     }
     return true;
 }

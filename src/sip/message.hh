@@ -357,6 +357,14 @@ class SipMessage
     mutable bool viaCacheValid_ = false;
 };
 
+/** ASCII lower-case fold of one byte: maps A-Z only, whatever the
+ *  C locale (header names are ASCII tokens, RFC 3261 §7.3.1). */
+constexpr char
+asciiLower(char c)
+{
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c | 0x20) : c;
+}
+
 /** Case-insensitive ASCII string compare. */
 bool iequals(std::string_view a, std::string_view b);
 

@@ -1,6 +1,5 @@
 #include "sip/parser.hh"
 
-#include <cctype>
 #include <charconv>
 #include <memory>
 #include <utility>
@@ -93,7 +92,7 @@ expandHeaderName(std::string_view name)
 {
     if (name.size() != 1)
         return name;
-    switch (std::tolower(static_cast<unsigned char>(name[0]))) {
+    switch (asciiLower(name[0])) {
       case 'i':
         return "Call-ID";
       case 'm':

@@ -438,6 +438,9 @@ runScenario(const Scenario &sc)
     const int calls_per_client = sc.measureWindow > 0
         ? INT_MAX / 4
         : sc.callsPerClient;
+    // Every caller records its INVITE latencies into this one
+    // histogram.
+    stats::LatencyHistogram invite;
     Phones callers, callees;
     callers.reserve(static_cast<std::size_t>(sc.clients));
     callees.reserve(static_cast<std::size_t>(sc.clients));
@@ -466,11 +469,14 @@ runScenario(const Scenario &sc)
                    topo.calleeEntry())));
         callees.back()->startCallee(calls_per_client,
                                     &phases.registered, nullptr);
-        callers.push_back(std::make_unique<phone::Phone>(
-            *client_machines[m], *client_hosts[m],
+        phone::PhoneConfig caller_cfg =
             mk_cfg("a" + std::to_string(i),
                    static_cast<std::uint16_t>(6000 + i),
-                   topo.callerEntry())));
+                   topo.callerEntry());
+        caller_cfg.inviteLatency = &invite;
+        callers.push_back(std::make_unique<phone::Phone>(
+            *client_machines[m], *client_hosts[m],
+            std::move(caller_cfg)));
         callers.back()->startCaller(calls_per_client,
                                     "c" + std::to_string(i),
                                     &phases.registered, &phases.start,
@@ -631,9 +637,6 @@ runScenario(const Scenario &sc)
     }
 
     // Latency percentiles over all callers' INVITE transactions.
-    stats::LatencyHistogram invite;
-    for (const auto &ph : callers)
-        invite.merge(ph->stats().inviteLatency);
     result.inviteP50 = invite.percentile(0.5);
     result.inviteP99 = invite.percentile(0.99);
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -90,6 +93,220 @@ TEST(EventQueueTest, NextTimeReflectsHead)
     EXPECT_EQ(q.nextTime(), kTimeNever);
     q.schedule(99, [] {});
     EXPECT_EQ(q.nextTime(), 99);
+}
+
+/**
+ * Seeded random mix of schedule, cancel and run — including schedules
+ * and cancels issued from inside running callbacks — checked against a
+ * reference ordered set of the live (time, seq) keys.
+ */
+class EventQueueModel
+{
+  public:
+    explicit EventQueueModel(std::uint64_t seed) : rng_(seed) {}
+
+    /**
+     * One driver step. A growing step mostly schedules, a shrinking
+     * one mostly cancels, so the heap repeatedly fills up and then
+     * drops its dead entries.
+     */
+    void
+    step(bool growing)
+    {
+        const std::uint64_t roll = rng_.below(10);
+        if (roll < (growing ? 6u : 1u))
+            schedule(now_ + static_cast<SimTime>(rng_.below(1000)));
+        else if (roll < 8)
+            cancelRandom();
+        else
+            runOne();
+        checkBound();
+    }
+
+    /** Run the earliest event; false once the queue has run dry. */
+    bool
+    runOne()
+    {
+        const SimTime expected =
+            live_.empty() ? kTimeNever : live_.begin()->first;
+        EXPECT_EQ(q_.nextTime(), expected);
+        if (!q_.runNext(now_)) {
+            EXPECT_TRUE(live_.empty());
+            return false;
+        }
+        checkBound();
+        return true;
+    }
+
+    const EventQueue &queue() const { return q_; }
+    bool liveEmpty() const { return live_.empty(); }
+    std::uint64_t fired() const { return fired_; }
+
+  private:
+    void
+    schedule(SimTime at)
+    {
+        const std::uint64_t id = handles_.size();
+        handles_.push_back(q_.schedule(at, [this, id] { fire(id); }));
+        live_.insert({at, id});
+    }
+
+    void
+    cancelRandom()
+    {
+        if (live_.empty())
+            return;
+        auto it = live_.begin();
+        std::advance(it, static_cast<long>(rng_.below(live_.size())));
+        handles_[it->second].cancel();
+        EXPECT_FALSE(handles_[it->second].pending());
+        live_.erase(it);
+    }
+
+    /** Heap entries never exceed twice the live events plus the floor
+     *  below which cancelled entries are left to surface. */
+    void
+    checkBound() const
+    {
+        EXPECT_LE(q_.size(), 2 * live_.size() + 64);
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        ++fired_;
+        ASSERT_FALSE(live_.empty());
+        EXPECT_EQ(live_.begin()->second, id);
+        EXPECT_EQ(live_.begin()->first, now_);
+        live_.erase(live_.begin());
+        // From inside the callback: cancel ourselves (not in the heap
+        // any more, so not counted), schedule more, cancel others.
+        const std::uint64_t roll = rng_.below(8);
+        if (roll == 0) {
+            handles_[id].cancel();
+        } else if (roll < 4) {
+            schedule(now_ + static_cast<SimTime>(rng_.below(500)));
+            schedule(now_); // same instant: fires after older peers
+        } else if (roll < 6) {
+            cancelRandom();
+        }
+        checkBound();
+    }
+
+    EventQueue q_;
+    Rng rng_;
+    SimTime now_ = 0;
+    std::uint64_t fired_ = 0;
+    std::vector<EventHandle> handles_;
+    std::set<std::pair<SimTime, std::uint64_t>> live_;
+};
+
+TEST(EventQueueTest, RandomMixPopsInReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        EventQueueModel m(seed);
+        for (int i = 0; i < 20000; ++i)
+            m.step(i / 2000 % 2 == 0);
+        // Drain: every remaining live event fires in key order.
+        while (m.runOne()) {
+        }
+        EXPECT_TRUE(m.liveEmpty());
+        EXPECT_TRUE(m.queue().empty());
+        EXPECT_GT(m.fired(), 2000u);
+    }
+}
+
+TEST(EventQueueTest, MassCancellationShrinksTheHeap)
+{
+    // Cancel 99% of 10k timers in random order: the heap must follow
+    // the live count down instead of keeping every dead timer until it
+    // comes due.
+    EventQueue q;
+    int fired = 0;
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 10000; ++i)
+        handles.push_back(q.schedule(1000 + i, [&] { ++fired; }));
+    Rng rng(42);
+    for (std::size_t live = handles.size(); live > 100; --live) {
+        const std::size_t pick = rng.below(live);
+        handles[pick].cancel();
+        std::swap(handles[pick], handles[live - 1]);
+        EXPECT_LE(q.size(), 2 * (live - 1) + 64);
+    }
+    SimTime now = 0;
+    while (q.runNext(now)) {
+    }
+    EXPECT_EQ(fired, 100);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, CancellingTheRunningEventIsHarmless)
+{
+    EventQueue q;
+    EventHandle self;
+    int fired = 0;
+    self = q.schedule(10, [&] {
+        ++fired;
+        self.cancel();
+        EXPECT_FALSE(self.pending());
+    });
+    q.schedule(20, [&] { ++fired; });
+    SimTime now = 0;
+    while (q.runNext(now)) {
+    }
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, HandleMayOutliveTheQueue)
+{
+    EventHandle h;
+    {
+        EventQueue q;
+        h = q.schedule(10, [] {});
+        EXPECT_TRUE(h.pending());
+    }
+    EXPECT_FALSE(h.pending());
+    h.cancel(); // must not touch the destroyed queue
+    EXPECT_FALSE(h.pending());
+}
+
+TEST(EventQueueTest, DroppedCallableMayCancelFromItsDestructor)
+{
+    // The first cancelled callable cancels every target event when it
+    // is destroyed, which happens while the queue drops dead entries:
+    // the queue must be whole again by then.
+    struct CancelOnDestroy
+    {
+        std::vector<EventHandle> *targets = nullptr;
+        ~CancelOnDestroy()
+        {
+            if (targets) {
+                for (EventHandle &h : *targets)
+                    h.cancel();
+            }
+        }
+    };
+    int fired = 0;
+    std::vector<EventHandle> targets;
+    EventQueue q;
+    for (int i = 0; i < 100; ++i)
+        targets.push_back(q.schedule(1000 + i, [&] { ++fired; }));
+    std::vector<EventHandle> droppers;
+    for (int i = 0; i < 200; ++i) {
+        auto guard = std::make_shared<CancelOnDestroy>();
+        if (i == 0)
+            guard->targets = &targets;
+        droppers.push_back(q.schedule(10 + i, [guard] {}));
+    }
+    for (EventHandle &h : droppers)
+        h.cancel();
+    for (const EventHandle &h : targets)
+        EXPECT_FALSE(h.pending());
+    SimTime now = 0;
+    EXPECT_FALSE(q.runNext(now));
+    EXPECT_EQ(fired, 0);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(RngTest, DeterministicForSeed)
@@ -309,6 +526,22 @@ TEST(SimulationTest, RunUntilStopsAtDeadline)
     EXPECT_EQ(sim.now(), secs(2));
     sim.run();
     EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulationTest, RunUntilIgnoresCancelledEventsBeforeDeadline)
+{
+    // A cancelled event due before the deadline must not let the next
+    // live event, due after it, run early.
+    Simulation sim;
+    int fired = 0;
+    sim.at(secs(1), [&] { ++fired; }).cancel();
+    sim.at(secs(5), [&] { ++fired; });
+    sim.runUntil(secs(2));
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(sim.now(), secs(2));
+    sim.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.now(), secs(5));
 }
 
 TEST(SimulationTest, BlockedReportListsBlockedProcesses)

@@ -23,7 +23,10 @@ section, and the fresh run's footprint may not exceed the slower of
 the checked-in baseline/current values by more than RSS_SLACK (10%).
 Memory regressions rarely show in ns_per_op — a leaked or oversized
 retained pool costs wall time only at the 100k-phone scale, so the
-footprint needs its own gate.
+footprint needs its own gate. The per-phone footprint (the growth of
+peak RSS between two UDP fleet sizes, phone_footprint.kb_per_phone) is
+gated the same way: it is what sets the RSS of the 100k-phone rung,
+and the whole-process peak above hides it behind the 100k-AOR cluster.
 
 Micros present in only one file are reported but never fail the run,
 so adding a new benchmark does not require regenerating the baseline
@@ -107,6 +110,18 @@ def main():
     if got_rss is not None and ref_rss > 0:
         row("peak_rss_kb", float(ref_rss), float(got_rss),
             ref_rss * (1.0 + RSS_SLACK))
+
+    def per_phone(doc, section):
+        return doc.get(section, {}).get("phone_footprint", {}).get(
+            "kb_per_phone")
+
+    got_kb = per_phone(fresh, "current")
+    ref_kb = max((v for v in (per_phone(checked, s)
+                              for s in ("baseline", "current"))
+                  if v is not None), default=0.0)
+    if got_kb is not None and ref_kb > 0:
+        row("phone_footprint.kb_per_phone", ref_kb, got_kb,
+            ref_kb * (1.0 + RSS_SLACK))
 
     if failures:
         print(f"\ncheck_perf: {len(failures)} regression(s) over "
