@@ -34,29 +34,6 @@
 
 #include "sweep_common.hh"
 
-namespace {
-
-/** Same 40x cost scaling as ext_overload_sweep: saturation at a
- *  simulable client count. */
-void
-slowCosts(siprox::core::CostModel &c, double x)
-{
-    auto scale = [x](siprox::sim::SimTime &t) {
-        t = static_cast<siprox::sim::SimTime>(
-            static_cast<double>(t) * x);
-    };
-    scale(c.parse);
-    scale(c.route);
-    scale(c.serialize);
-    scale(c.txnCreate);
-    scale(c.txnLookup);
-    scale(c.txnUpdate);
-    scale(c.registrarLookup);
-    scale(c.registrarUpdate);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -108,7 +85,7 @@ main()
                     + s.label + "/" + std::to_string(clients) + "c";
                 sc.measureWindow = sim::secs(window_secs);
                 sc.maxDuration = sim::secs(60);
-                slowCosts(sc.proxy.costs, 40);
+                bench::slowCosts(sc.proxy.costs, 40);
                 sc.phoneResponseTimeout = sim::msecs(1500);
                 sc.phoneRetryBackoffCap = sim::secs(2);
                 sc.proxy.txnLinger = sim::msecs(200);

@@ -53,24 +53,6 @@ check(bool ok, const std::string &what)
         ++failures;
 }
 
-/** Same cost scaling as the chain/overload sweeps: saturation at a
- *  simulable client count. */
-void
-slowCosts(core::CostModel &c, double x)
-{
-    auto scale = [x](sim::SimTime &t) {
-        t = static_cast<sim::SimTime>(static_cast<double>(t) * x);
-    };
-    scale(c.parse);
-    scale(c.route);
-    scale(c.serialize);
-    scale(c.txnCreate);
-    scale(c.txnLookup);
-    scale(c.txnUpdate);
-    scale(c.registrarLookup);
-    scale(c.registrarUpdate);
-}
-
 workload::Scenario
 clusterPoint(core::Transport t, int instances,
              core::DispatchPolicy policy, int clients,
@@ -84,7 +66,7 @@ clusterPoint(core::Transport t, int instances,
     sc.measureWindow = sim::secs(window_secs);
     sc.maxDuration = sim::secs(60);
     sc.serverCores = 2;
-    slowCosts(sc.proxy.costs, 20);
+    bench::slowCosts(sc.proxy.costs, 20);
     sc.cluster.instances = instances;
     sc.cluster.policy = policy;
     // The front end does less per message than a proxy; 4 cores keep

@@ -40,24 +40,6 @@ check(bool ok, const std::string &what)
         ++failures;
 }
 
-/** Scale per-message costs (ext_overload_sweep's trick) so the UDP
- *  overload point saturates at a simulable client count. */
-void
-slowCosts(core::CostModel &c, double x)
-{
-    auto scale = [x](sim::SimTime &t) {
-        t = static_cast<sim::SimTime>(static_cast<double>(t) * x);
-    };
-    scale(c.parse);
-    scale(c.route);
-    scale(c.serialize);
-    scale(c.txnCreate);
-    scale(c.txnLookup);
-    scale(c.txnUpdate);
-    scale(c.registrarLookup);
-    scale(c.registrarUpdate);
-}
-
 /** Run one TCP point with telemetry + recorder and return the server's
  *  measured-phase top blocking wait ("" when none was recorded). */
 std::string
@@ -115,7 +97,7 @@ main()
     sc.measureWindow =
         sim::secs(bench::smokeMode() || bench::quickMode() ? 3 : 5);
     sc.maxDuration = sim::secs(60);
-    slowCosts(sc.proxy.costs, 40);
+    bench::slowCosts(sc.proxy.costs, 40);
     sc.phoneResponseTimeout = sim::msecs(1500);
     sc.phoneRetryBackoffCap = sim::secs(2);
     sc.proxy.txnLinger = sim::msecs(200);

@@ -27,33 +27,6 @@
 
 #include "sweep_common.hh"
 
-namespace {
-
-/**
- * Scale the per-message SIP-processing costs so the client ladder
- * crosses saturation at a simulable client count: ~750 calls/s on the
- * default 4-core server instead of ~15k (which a closed-loop workload
- * only saturates with tens of thousands of phones).
- */
-void
-slowCosts(siprox::core::CostModel &c, double x)
-{
-    auto scale = [x](siprox::sim::SimTime &t) {
-        t = static_cast<siprox::sim::SimTime>(
-            static_cast<double>(t) * x);
-    };
-    scale(c.parse);
-    scale(c.route);
-    scale(c.serialize);
-    scale(c.txnCreate);
-    scale(c.txnLookup);
-    scale(c.txnUpdate);
-    scale(c.registrarLookup);
-    scale(c.registrarUpdate);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -124,7 +97,7 @@ main()
                     + std::to_string(clients) + "c";
                 sc.measureWindow = sim::secs(window_secs);
                 sc.maxDuration = sim::secs(60);
-                slowCosts(sc.proxy.costs, 40);
+                bench::slowCosts(sc.proxy.costs, 40);
                 // Overload is only lethal when callers give up and
                 // retry: a tight deadline turns queueing delay into
                 // retransmission amplification, the collapse mechanism.

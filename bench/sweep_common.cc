@@ -47,6 +47,16 @@ sweepScenario(core::Transport transport, int clients, int ops_per_conn)
 }
 
 void
+slowCosts(core::CostModel &costs, double factor)
+{
+    for (sim::SimTime *t :
+         {&costs.parse, &costs.route, &costs.serialize, &costs.txnCreate,
+          &costs.txnLookup, &costs.txnUpdate, &costs.registrarLookup,
+          &costs.registrarUpdate})
+        *t = static_cast<sim::SimTime>(static_cast<double>(*t) * factor);
+}
+
+void
 logPoint(const workload::Scenario &sc, const workload::RunResult &r)
 {
     std::fprintf(stderr, "  [%s] %.0f ops/s, %llu calls ok, %llu failed\n",

@@ -32,6 +32,15 @@ sim::SimTime windowFor(core::Transport transport, int ops_per_conn);
 workload::Scenario sweepScenario(core::Transport transport, int clients,
                                  int ops_per_conn);
 
+/**
+ * Scale the per-message SIP-processing costs by @p factor so a client
+ * ladder crosses saturation at a simulable client count: at 40x, ~750
+ * calls/s on the default 4-core server instead of ~15k (which a
+ * closed-loop workload only saturates with tens of thousands of
+ * phones).
+ */
+void slowCosts(core::CostModel &costs, double factor);
+
 /** One-line per-point progress note on stderr. */
 void logPoint(const workload::Scenario &sc,
               const workload::RunResult &r);

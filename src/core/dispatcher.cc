@@ -149,6 +149,11 @@ Dispatcher::peek(sim::Process &p, const std::string &wire,
     ++stats_.messagesIn;
     co_await p.cpu(cfg_.costs.dispatchPeek, ccPeek_);
     *out = sip::parseMessage(wire);
+    if (!out->ok) {
+        ++stats_.peekFailures;
+        co_return;
+    }
+    co_await p.cpu(cfg_.costs.dispatchRoute, ccRoute_);
 }
 
 // --- UDP ----------------------------------------------------------------
@@ -170,11 +175,8 @@ Dispatcher::routeDatagram(sim::Process &p, net::Datagram dgram)
 {
     sip::ParseResult pr;
     co_await peek(p, dgram.payload, &pr);
-    if (!pr.ok) {
-        ++stats_.peekFailures;
+    if (!pr.ok)
         co_return;
-    }
-    co_await p.cpu(cfg_.costs.dispatchRoute, ccRoute_);
     if (pr.message.isRequest()) {
         int i = pickInstance(pr.message);
         if (i < 0) {
@@ -213,11 +215,11 @@ Dispatcher::sendToInstance(sim::Process &p, int instance,
     // handshake by a hair, so wait instead of dropping.
     while (!stop_
            && (idx >= trunks_.size() || !trunks_[idx]
-               || !trunks_[idx]->valid()))
+               || !trunks_[idx]->conn.valid()))
         co_await p.sleepFor(sim::msecs(1));
     if (stop_)
         co_return;
-    co_await trunks_[idx]->send(p, std::move(wire));
+    co_await trunks_[idx]->conn.send(p, std::move(wire));
 }
 
 sim::Task
@@ -225,71 +227,71 @@ Dispatcher::sendToClientAddr(sim::Process &p, net::Addr phone,
                              std::string wire)
 {
     auto it = clientByAddr_.find(phone);
-    if (it == clientByAddr_.end() || !it->second->valid()) {
+    if (it == clientByAddr_.end() || !it->second->conn.valid()) {
         ++stats_.dropsNoRoute;
         co_return;
     }
-    co_await it->second->send(p, std::move(wire));
+    co_await it->second->conn.send(p, std::move(wire));
 }
 
 sim::Task
 Dispatcher::trunkMain(sim::Process &p, int instance)
 {
     auto idx = static_cast<std::size_t>(instance);
-    auto conn = std::make_shared<net::TcpConn>();
-    co_await host_.tcpConnect(p, cfg_.instances[idx], *conn);
-    trunks_[idx] = conn;
-    sip::StreamFramer framer;
-    std::string buf;
-    while (!stop_) {
-        buf.clear();
-        co_await conn->recv(p, buf);
-        if (buf.empty())
-            break; // EOF or reset
-        framer.feed(std::move(buf));
-        while (auto m = framer.next()) {
-            sip::ParseResult pr;
-            co_await peek(p, *m, &pr);
-            if (!pr.ok) {
-                ++stats_.peekFailures;
-                continue;
-            }
-            co_await p.cpu(cfg_.costs.dispatchRoute, ccRoute_);
-            std::optional<net::Addr> phone;
-            if (pr.message.isRequest()) {
-                // Owner instance forwarding toward the callee: the
-                // request-URI is the registered contact.
-                phone = sip::addrFromUri(pr.message.requestUri());
-            } else if (const auto &via = pr.message.topVia()) {
-                phone = addrFromVia(*via);
-            }
-            if (!phone) {
-                ++stats_.dropsNoRoute;
-                continue;
-            }
-            if (pr.message.isRequest())
-                ++stats_.requestsRouted;
-            else
-                ++stats_.responsesRouted;
-            co_await sendToClientAddr(p, *phone, std::move(*m));
-        }
-        if (framer.poisoned())
-            break;
+    auto trunk = std::make_shared<FramedConn>();
+    co_await host_.tcpConnect(p, cfg_.instances[idx], trunk->conn);
+    trunks_[idx] = trunk;
+    // The lambdas merely call a named coroutine (sim/task.hh rule).
+    FramedConn *fc = trunk.get();
+    StreamState state = StreamState::Open;
+    while (!stop_ && state == StreamState::Open) {
+        co_await readFrames(
+            p, [fc] { return fc; },
+            [this](sim::Process &sp, std::string wire) {
+                return routeFromTrunk(sp, std::move(wire));
+            },
+            &state);
     }
+}
+
+sim::Task
+Dispatcher::routeFromTrunk(sim::Process &p, std::string wire)
+{
+    sip::ParseResult pr;
+    co_await peek(p, wire, &pr);
+    if (!pr.ok)
+        co_return;
+    std::optional<net::Addr> phone;
+    if (pr.message.isRequest()) {
+        // Owner instance forwarding toward the callee: the request-URI
+        // is the registered contact.
+        phone = sip::addrFromUri(pr.message.requestUri());
+    } else if (const auto &via = pr.message.topVia()) {
+        phone = addrFromVia(*via);
+    }
+    if (!phone) {
+        ++stats_.dropsNoRoute;
+        co_return;
+    }
+    if (pr.message.isRequest())
+        ++stats_.requestsRouted;
+    else
+        ++stats_.responsesRouted;
+    co_await sendToClientAddr(p, *phone, std::move(wire));
 }
 
 sim::Task
 Dispatcher::acceptMain(sim::Process &p)
 {
     while (!stop_) {
-        auto conn = std::make_shared<net::TcpConn>();
-        co_await listener_->accept(p, *conn);
+        auto conn = std::make_shared<FramedConn>();
+        co_await listener_->accept(p, conn->conn);
         if (stop_)
             break;
-        if (!conn->valid())
+        if (!conn->conn.valid())
             continue;
         ++stats_.clientConnsAccepted;
-        machine_.spawn("dconn" + std::to_string(conn->id()), 0,
+        machine_.spawn("dconn" + std::to_string(conn->conn.id()), 0,
                        [this, conn](sim::Process &sp) {
                            return clientConnMain(sp, conn);
                        });
@@ -298,65 +300,68 @@ Dispatcher::acceptMain(sim::Process &p)
 
 sim::Task
 Dispatcher::clientConnMain(sim::Process &p,
-                           std::shared_ptr<net::TcpConn> conn)
+                           std::shared_ptr<FramedConn> conn)
 {
-    sip::StreamFramer framer;
-    std::string buf;
-    while (!stop_) {
-        buf.clear();
-        co_await conn->recv(p, buf);
-        if (buf.empty())
-            break; // phone closed
-        framer.feed(std::move(buf));
-        while (auto m = framer.next()) {
-            sip::ParseResult pr;
-            co_await peek(p, *m, &pr);
-            if (!pr.ok) {
-                ++stats_.peekFailures;
-                continue;
-            }
-            co_await p.cpu(cfg_.costs.dispatchRoute, ccRoute_);
-            if (pr.message.isRequest()) {
-                // Learn how to reach this phone for trunk traffic: the
-                // Via sent-by (responses) and, on REGISTER, the Contact
-                // (requests forwarded toward the callee).
-                if (const auto &via = pr.message.topVia()) {
-                    if (auto a = addrFromVia(*via))
-                        clientByAddr_[*a] = conn;
-                }
-                if (pr.message.method() == sip::Method::Register) {
-                    if (auto c = pr.message.contactUri()) {
-                        if (auto a = sip::addrFromUri(*c))
-                            clientByAddr_[*a] = conn;
-                    }
-                }
-                int i = pickInstance(pr.message);
-                if (i < 0) {
-                    ++stats_.dropsNoRoute;
-                    continue;
-                }
-                if (pr.message.method() == sip::Method::Register)
-                    ++stats_.registersRouted;
-                ++stats_.requestsRouted;
-                ++stats_.toInstance[static_cast<std::size_t>(i)];
-                co_await sendToInstance(p, i, std::move(*m));
-            } else {
-                // Response from a phone: the top Via names the
-                // instance whose trunk it rides back on.
-                const auto &via = pr.message.topVia();
-                auto a = via ? addrFromVia(*via) : std::nullopt;
-                auto it = a ? instanceByAddr_.find(*a)
-                            : instanceByAddr_.end();
-                if (!a || it == instanceByAddr_.end()) {
-                    ++stats_.dropsNoRoute;
-                    continue;
-                }
-                ++stats_.responsesRouted;
-                co_await sendToInstance(p, it->second, std::move(*m));
+    // The lambdas merely call a named coroutine (sim/task.hh rule) and
+    // capture only pointers (readFrames' by-value rule).
+    FramedConn *fc = conn.get();
+    const std::shared_ptr<FramedConn> *shared = &conn;
+    StreamState state = StreamState::Open;
+    while (!stop_ && state == StreamState::Open) {
+        co_await readFrames(
+            p, [fc] { return fc; },
+            [this, shared](sim::Process &sp, std::string wire) {
+                return routeFromClient(sp, *shared, std::move(wire));
+            },
+            &state);
+    }
+}
+
+sim::Task
+Dispatcher::routeFromClient(sim::Process &p,
+                            std::shared_ptr<FramedConn> conn,
+                            std::string wire)
+{
+    sip::ParseResult pr;
+    co_await peek(p, wire, &pr);
+    if (!pr.ok)
+        co_return;
+    if (pr.message.isRequest()) {
+        // Learn how to reach this phone for trunk traffic: the Via
+        // sent-by (responses) and, on REGISTER, the Contact (requests
+        // forwarded toward the callee).
+        if (const auto &via = pr.message.topVia()) {
+            if (auto a = addrFromVia(*via))
+                clientByAddr_[*a] = conn;
+        }
+        if (pr.message.method() == sip::Method::Register) {
+            if (auto c = pr.message.contactUri()) {
+                if (auto a = sip::addrFromUri(*c))
+                    clientByAddr_[*a] = conn;
             }
         }
-        if (framer.poisoned())
-            break;
+        int i = pickInstance(pr.message);
+        if (i < 0) {
+            ++stats_.dropsNoRoute;
+            co_return;
+        }
+        if (pr.message.method() == sip::Method::Register)
+            ++stats_.registersRouted;
+        ++stats_.requestsRouted;
+        ++stats_.toInstance[static_cast<std::size_t>(i)];
+        co_await sendToInstance(p, i, std::move(wire));
+    } else {
+        // Response from a phone: the top Via names the instance whose
+        // trunk it rides back on.
+        const auto &via = pr.message.topVia();
+        auto a = via ? addrFromVia(*via) : std::nullopt;
+        auto it = a ? instanceByAddr_.find(*a) : instanceByAddr_.end();
+        if (!a || it == instanceByAddr_.end()) {
+            ++stats_.dropsNoRoute;
+            co_return;
+        }
+        ++stats_.responsesRouted;
+        co_await sendToInstance(p, it->second, std::move(wire));
     }
 }
 

@@ -34,6 +34,7 @@
 
 #include "core/config.hh"
 #include "core/location.hh"
+#include "core/transport_io.hh"
 #include "net/network.hh"
 #include "net/tcp.hh"
 #include "net/udp.hh"
@@ -150,7 +151,8 @@ class Dispatcher
     /** Policy decision for one peeked request; -1 when unroutable. */
     int pickInstance(const sip::SipMessage &msg);
 
-    /** Charge the peek + parse one message; nullopt on junk. */
+    /** Charge the peek and parse one message, then charge the routing
+     *  decision; junk (!out->ok) is counted and not charged further. */
     sim::Task peek(sim::Process &p, const std::string &wire,
                    sip::ParseResult *out);
 
@@ -162,7 +164,13 @@ class Dispatcher
     sim::Task acceptMain(sim::Process &p);
     sim::Task trunkMain(sim::Process &p, int instance);
     sim::Task clientConnMain(sim::Process &p,
-                             std::shared_ptr<net::TcpConn> conn);
+                             std::shared_ptr<FramedConn> conn);
+    /** Route one message an instance sent down its trunk. */
+    sim::Task routeFromTrunk(sim::Process &p, std::string wire);
+    /** Route one message a phone sent on client connection @p conn. */
+    sim::Task routeFromClient(sim::Process &p,
+                              std::shared_ptr<FramedConn> conn,
+                              std::string wire);
     sim::Task sendToInstance(sim::Process &p, int instance,
                              std::string wire);
     sim::Task sendToClientAddr(sim::Process &p, net::Addr phone,
@@ -181,13 +189,13 @@ class Dispatcher
     net::TcpListener *listener_ = nullptr; // TCP mode
     /** One trunk connection per instance (shared: every client-conn
      *  reader forwards over them). */
-    std::vector<std::shared_ptr<net::TcpConn>> trunks_;
+    std::vector<std::shared_ptr<FramedConn>> trunks_;
     /** Instance SIP address -> instance index (Via-based response
      *  routing from client connections). */
     std::unordered_map<net::Addr, int, net::AddrHash> instanceByAddr_;
     /** Phone address (from Via sent-by / REGISTER Contact) -> the
      *  client connection it is reachable on. */
-    std::unordered_map<net::Addr, std::shared_ptr<net::TcpConn>,
+    std::unordered_map<net::Addr, std::shared_ptr<FramedConn>,
                        net::AddrHash>
         clientByAddr_;
 

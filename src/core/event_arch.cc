@@ -1,11 +1,6 @@
 #include "core/event_arch.hh"
 
-#include <algorithm>
-
 #include "net/error.hh"
-#include "net/sctp.hh"
-#include "net/sst.hh"
-#include "net/udp.hh"
 #include "sim/pollable.hh"
 #include "sim/simulation.hh"
 
@@ -26,15 +21,10 @@ EventArch::~EventArch() = default;
 void
 EventArch::start()
 {
-    if (tcpMode()) {
+    if (tcpMode())
         listener_ = &host_.tcpListen(cfg_.port);
-    } else if (cfg_.transport == Transport::Sctp) {
-        sock_ = &host_.sctpBind(cfg_.port);
-    } else if (cfg_.transport == Transport::Sst) {
-        sock_ = &host_.sstBind(cfg_.port);
-    } else {
-        sock_ = &host_.udpBind(cfg_.port);
-    }
+    else
+        sock_ = &bindDatagram(host_, cfg_.transport, cfg_.port);
     // One loop per core: the whole design premise. cfg_.workers is
     // deliberately ignored (documented on ArchKind::EventDriven).
     int n = machine_.scheduler().cores();
@@ -122,16 +112,9 @@ EventArch::loopMain(sim::Process &p, int id)
             items.push_back(listener_);
             item_conn.push_back(0);
         }
-        const int n = static_cast<int>(l.ownedOrder.size());
-        for (int k = 0; !reads_paused && k < n; ++k) {
-            std::uint64_t cid = l.ownedOrder[static_cast<std::size_t>(
-                (l.rrCursor + k) % n)];
-            auto it = l.owned.find(cid);
-            if (it == l.owned.end() || !it->second.valid())
-                continue;
-            items.push_back(&it->second.readable());
-            item_conn.push_back(cid);
-        }
+        const int n = static_cast<int>(l.owned.size());
+        if (!reads_paused)
+            l.owned.pollSet(l.rrCursor, items, item_conn);
         sim::SimTime timeout = l.nextScan - p.sim().now();
         if ((reads_paused || accepts_paused)
             && cfg_.overload.pauseSlice < timeout)
@@ -166,7 +149,7 @@ EventArch::loopMain(sim::Process &p, int id)
                 item_conn[static_cast<std::size_t>(idx)];
             if (cid == 0)
                 co_await loopAccept(p, l, l.nextScan);
-            else if (l.owned.count(cid)) // revalidate: batch-mates can
+            else if (l.owned.find(cid)) // revalidate: batch-mates can
                 co_await loopReadConn(p, l, cid); // retire each other
             if (stop_)
                 co_return;
@@ -214,9 +197,7 @@ EventArch::installConn(sim::Process &p, Loop &l, net::TcpConn conn,
     if (accepted)
         ++shared_.counters.connsAccepted;
 
-    l.owned[id] = std::move(conn);
-    l.framers[id] = sip::StreamFramer{};
-    l.ownedOrder.push_back(id);
+    l.owned.add(id, std::move(conn));
     co_await p.cpu(cfg_.costs.pqOp, ccScan_);
     l.idlePq.push(p.sim().now() + cfg_.idleTimeout, id);
 }
@@ -224,56 +205,35 @@ EventArch::installConn(sim::Process &p, Loop &l, net::TcpConn conn,
 sim::Task
 EventArch::loopReadConn(sim::Process &p, Loop &l, std::uint64_t conn_id)
 {
-    auto it = l.owned.find(conn_id);
-    if (it == l.owned.end())
+    FramedConn *fc = l.owned.find(conn_id);
+    if (!fc)
         co_return;
-    // Pin against work stealing: coroutines below hold references
-    // into this loop's owned maps across suspension points.
+    // Pin against work stealing: the read below holds a reference
+    // into this loop's owned set across suspension points.
     l.busy.insert(conn_id);
-    std::string bytes;
-    co_await it->second.recv(p, bytes);
-    WorkerLoop::traceRxConn(p, conn_id, bytes.size());
-    if (bytes.empty()) {
-        // EOF or reset: close and destroy directly — there is no
-        // supervisor to return the connection to.
-        co_await closeOwned(p, l, conn_id);
-        co_await destroyConn(p, l, conn_id);
-        l.busy.erase(conn_id);
-        co_return;
-    }
-    net::Addr peer = it->second.remote();
-    auto fit = l.framers.find(conn_id);
-    if (fit == l.framers.end()) {
-        l.busy.erase(conn_id);
-        co_return;
-    }
-    fit->second.feed(std::move(bytes));
+    // The lambdas merely call named coroutines (sim/task.hh rule).
     Loop *lp = &l;
-    for (;;) {
-        // Re-find the framer: handling a message can close conns.
-        fit = l.framers.find(conn_id);
-        if (fit == l.framers.end()) {
-            l.busy.erase(conn_id);
-            co_return;
-        }
-        if (fit->second.poisoned()) {
-            co_await closeOwned(p, l, conn_id);
-            co_await destroyConn(p, l, conn_id);
-            l.busy.erase(conn_id);
-            co_return;
-        }
-        auto raw = fit->second.next();
-        if (!raw)
-            break;
-        // Lambda merely calls a named coroutine (sim/task.hh rule).
-        co_await l.wloop->dispatch(
-            p, std::move(*raw), MsgSource{peer, conn_id},
-            [this, lp](sim::Process &sp, SendAction action) {
-                return loopSend(sp, *lp, std::move(action));
-            });
+    const MsgSource src{fc->conn.remote(), conn_id};
+    StreamState state;
+    co_await readFrames(
+        p, [lp, conn_id] { return lp->owned.find(conn_id); },
+        [this, lp, src](sim::Process &sp, std::string raw) {
+            return lp->wloop->dispatch(
+                sp, std::move(raw), src,
+                [this, lp](sim::Process &ssp, SendAction action) {
+                    return loopSend(ssp, *lp, std::move(action));
+                });
+        },
+        &state, "proxy-rx");
+    if (state == StreamState::Eof || state == StreamState::Poisoned) {
+        // Close and destroy directly: there is no supervisor to return
+        // the connection to.
+        co_await l.owned.close(p, conn_id);
+        co_await destroyConn(p, l, conn_id);
+    } else if (state == StreamState::Open) {
+        if (TcpConnObj *obj = shared_.conns.byId(conn_id))
+            obj->lastUse = p.sim().now(); // dirty single-word store
     }
-    if (TcpConnObj *obj = shared_.conns.byId(conn_id))
-        obj->lastUse = p.sim().now(); // dirty single-word store
     l.busy.erase(conn_id);
 }
 
@@ -284,11 +244,10 @@ EventArch::loopSend(sim::Process &p, Loop &l, SendAction action)
     // Send on a cheap duplicate handle: a sibling may steal the map
     // entry while the send is suspended.
     if (action.dstConnId) {
-        auto it = l.owned.find(action.dstConnId);
-        if (it != l.owned.end()) {
+        if (FramedConn *fc = l.owned.find(action.dstConnId)) {
             if (TcpConnObj *obj = shared_.conns.byId(action.dstConnId))
                 obj->lastUse = p.sim().now(); // dirty write
-            net::TcpConn fd = it->second.dup();
+            net::TcpConn fd = fc->conn.dup();
             co_await fd.send(p, std::move(action.wire));
             co_return;
         }
@@ -322,11 +281,11 @@ EventArch::loopSend(sim::Process &p, Loop &l, SendAction action)
         co_await loopConnect(p, l, std::move(action));
         co_return;
     }
-    if (auto it = l.owned.find(obj->id); it != l.owned.end()) {
+    if (FramedConn *fc = l.owned.find(obj->id)) {
         // Alias resolved to a connection we own after all.
         obj->lastUse = p.sim().now();
         shared_.conns.lock().release();
-        net::TcpConn fd = it->second.dup();
+        net::TcpConn fd = fc->conn.dup();
         co_await fd.send(p, std::move(action.wire));
         co_return;
     }
@@ -373,21 +332,6 @@ EventArch::loopConnect(sim::Process &p, Loop &l, SendAction action)
 }
 
 sim::Task
-EventArch::closeOwned(sim::Process &p, Loop &l, std::uint64_t conn_id)
-{
-    auto it = l.owned.find(conn_id);
-    if (it == l.owned.end())
-        co_return;
-    co_await it->second.close(p);
-    l.owned.erase(it);
-    l.framers.erase(conn_id);
-    auto oit = std::find(l.ownedOrder.begin(), l.ownedOrder.end(),
-                         conn_id);
-    if (oit != l.ownedOrder.end())
-        l.ownedOrder.erase(oit);
-}
-
-sim::Task
 EventArch::destroyConn(sim::Process &p, Loop &l, std::uint64_t conn_id)
 {
     co_await shared_.conns.lock().acquire(p);
@@ -419,7 +363,7 @@ EventArch::loopIdleScan(sim::Process &p, Loop &l)
         l.idlePq.pop();
         ++visited;
         co_await p.cpu(cfg_.costs.pqOp, ccScan_);
-        if (l.owned.count(id)) {
+        if (l.owned.find(id)) {
             l.busy.insert(id);
             co_await shared_.conns.lock().acquire(p);
             co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
@@ -433,7 +377,7 @@ EventArch::loopIdleScan(sim::Process &p, Loop &l)
                 l.busy.erase(id);
                 continue;
             }
-            co_await closeOwned(p, l, id);
+            co_await l.owned.close(p, id);
             l.busy.erase(id);
         }
         co_await destroyConn(p, l, id);
@@ -467,16 +411,14 @@ EventArch::loopSteal(sim::Process &p, Loop &l, bool *stole)
     for (std::size_t off = 1; off < nl && !stop_; ++off) {
         Loop &v = *loops_[(static_cast<std::size_t>(l.id) + off) % nl];
         std::uint64_t cid = 0;
-        for (std::uint64_t c : v.ownedOrder) {
+        for (std::uint64_t c : v.owned.order()) {
             if (v.busy.count(c))
                 continue;
-            auto it = v.owned.find(c);
-            if (it == v.owned.end() || !it->second.valid())
-                continue;
-            if (!it->second.readable().pollReady())
-                continue;
-            cid = c;
-            break;
+            const net::TcpConn &conn = v.owned.find(c)->conn;
+            if (conn.valid() && conn.readable().pollReady()) {
+                cid = c;
+                break;
+            }
         }
         if (!cid)
             continue;
@@ -485,21 +427,7 @@ EventArch::loopSteal(sim::Process &p, Loop &l, bool *stole)
         // the cooperative scheduler. The victim revalidates its ready
         // batch against `owned` and skips the moved entry; its stale
         // idle-queue entry is ignored via the ownerWorker check.
-        auto vit = v.owned.find(cid);
-        l.owned[cid] = std::move(vit->second);
-        v.owned.erase(vit);
-        auto fit = v.framers.find(cid);
-        if (fit != v.framers.end()) {
-            l.framers[cid] = std::move(fit->second);
-            v.framers.erase(fit);
-        } else {
-            l.framers[cid] = sip::StreamFramer{};
-        }
-        auto oit = std::find(v.ownedOrder.begin(), v.ownedOrder.end(),
-                             cid);
-        if (oit != v.ownedOrder.end())
-            v.ownedOrder.erase(oit);
-        l.ownedOrder.push_back(cid);
+        l.owned.adopt(v.owned, cid);
         if (TcpConnObj *obj = shared_.conns.byId(cid))
             obj->ownerWorker = l.id; // dirty write
         ++shared_.counters.connsStolen;

@@ -30,6 +30,12 @@
  *    handful of loops cannot smooth it statistically the way §3.1's
  *    32 workers do.
  *
+ * Loops hold their connections in an OwnedConns set and read them with
+ * readFrames() (core/transport_io.hh), as the supervisor's workers do;
+ * a steal is OwnedConns::adopt(), and a loop's poll cursor advances by
+ * one per wake-up. The send path, direct destroy on EOF, accept and
+ * idle scan stay here.
+ *
  * Works over TCP, UDP, and SCTP. For datagram transports the loops
  * degenerate to symmetric readiness-driven receivers on the shared
  * socket; the architectural changes only matter for TCP, which is the
@@ -49,6 +55,7 @@
 #include "core/config.hh"
 #include "core/engine.hh"
 #include "core/shared.hh"
+#include "core/transport_io.hh"
 #include "core/worker_loop.hh"
 #include "net/datagram.hh"
 #include "net/network.hh"
@@ -92,10 +99,8 @@ class EventArch final : public ServerArch
     struct Loop
     {
         int id = -1;
-        /** Connections this loop reads (it holds the fd). */
-        std::unordered_map<std::uint64_t, net::TcpConn> owned;
-        std::vector<std::uint64_t> ownedOrder;
-        std::unordered_map<std::uint64_t, sip::StreamFramer> framers;
+        /** Connections this loop reads, with their framers. */
+        OwnedConns owned;
         /** Duplicate descriptors for other loops' connections, filled
          *  on first cross-loop send from the shared table. Unlike the
          *  §5.2 fd cache there is no IPC behind a miss — the dup comes
@@ -135,10 +140,6 @@ class EventArch final : public ServerArch
      * is atomic under the cooperative scheduler. Sets @p stole.
      */
     sim::Task loopSteal(sim::Process &p, Loop &l, bool *stole);
-
-    /** Close this loop's read side and drop the local maps. */
-    sim::Task closeOwned(sim::Process &p, Loop &l,
-                         std::uint64_t conn_id);
 
     /**
      * Remove the connection from the shared table and close the

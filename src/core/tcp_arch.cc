@@ -119,17 +119,9 @@ TcpArch::workerMain(sim::Process &p, int id)
         item_conn.clear();
         items.push_back(&w.dispatch->readable());
         item_conn.push_back(0);
-        const int n = static_cast<int>(w.ownedOrder.size());
-        for (int k = 0; !reads_paused && k < n; ++k) {
-            std::uint64_t cid =
-                w.ownedOrder[static_cast<std::size_t>((w.rrCursor + k)
-                                                      % n)];
-            auto it = w.owned.find(cid);
-            if (it == w.owned.end() || !it->second.valid())
-                continue;
-            items.push_back(&it->second.readable());
-            item_conn.push_back(cid);
-        }
+        const int n = static_cast<int>(w.owned.size());
+        if (!reads_paused)
+            w.owned.pollSet(w.rrCursor, items, item_conn);
         sim::SimTime timeout = w.nextScan - p.sim().now();
         if (reads_paused && cfg_.overload.pauseSlice < timeout)
             timeout = cfg_.overload.pauseSlice;
@@ -162,9 +154,7 @@ TcpArch::workerInstallConn(sim::Process &p, Worker &w, NewConnMsg msg)
 {
     co_await p.cpu(cfg_.costs.fdInstall, ccFdReq_);
     std::uint64_t id = msg.connId;
-    w.owned[id] = std::move(msg.fd);
-    w.framers[id] = sip::StreamFramer{};
-    w.ownedOrder.push_back(id);
+    w.owned.add(id, std::move(msg.fd));
     if (cfg_.idleStrategy == IdleStrategy::PriorityQueue) {
         co_await p.cpu(cfg_.costs.pqOp, ccScan_);
         w.localPq.push(p.sim().now() + cfg_.idleTimeout, id);
@@ -175,49 +165,35 @@ sim::Task
 TcpArch::workerReadConn(sim::Process &p, Worker &w,
                         std::uint64_t conn_id)
 {
-    auto it = w.owned.find(conn_id);
-    if (it == w.owned.end())
+    FramedConn *fc = w.owned.find(conn_id);
+    if (!fc)
         co_return;
-    std::string bytes;
-    co_await it->second.recv(p, bytes);
-    WorkerLoop::traceRxConn(p, conn_id, bytes.size());
-    if (bytes.empty()) {
-        // EOF or reset.
+    // The lambdas merely call named member coroutines (lifetime rule,
+    // sim/task.hh); &w stays valid for the whole run.
+    Worker *wp = &w;
+    const MsgSource src{fc->conn.remote(), conn_id};
+    StreamState state;
+    co_await readFrames(
+        p, [wp, conn_id] { return wp->owned.find(conn_id); },
+        [this, wp, src](sim::Process &sp, std::string raw) {
+            return wp->loop->dispatch(
+                sp, std::move(raw), src,
+                [this, wp](sim::Process &ssp, SendAction action) {
+                    return threadMode()
+                        ? workerSendThreadMode(ssp, *wp,
+                                               std::move(action))
+                        : workerSend(ssp, *wp, std::move(action));
+                });
+        },
+        &state, "proxy-rx");
+    if (state == StreamState::Eof || state == StreamState::Poisoned) {
         co_await workerCloseConn(p, w, conn_id, /*dead=*/true);
-        co_return;
+    } else if (state == StreamState::Open) {
+        // Reading refreshes the connection's timestamp (unlocked
+        // single-word store, as OpenSER's timestamp updates are).
+        if (TcpConnObj *obj = shared_.conns.byId(conn_id))
+            obj->lastUse = p.sim().now();
     }
-    net::Addr peer = it->second.remote();
-    auto fit = w.framers.find(conn_id);
-    if (fit == w.framers.end())
-        co_return;
-    fit->second.feed(std::move(bytes));
-    for (;;) {
-        // Re-find the framer: handling a message can close conns.
-        fit = w.framers.find(conn_id);
-        if (fit == w.framers.end())
-            co_return;
-        if (fit->second.poisoned()) {
-            co_await workerCloseConn(p, w, conn_id, /*dead=*/true);
-            co_return;
-        }
-        auto raw = fit->second.next();
-        if (!raw)
-            break;
-        // The lambda merely calls named member coroutines (lifetime
-        // rule, sim/task.hh); &w stays valid for the whole run.
-        Worker *wp = &w;
-        co_await w.loop->dispatch(
-            p, std::move(*raw), MsgSource{peer, conn_id},
-            [this, wp](sim::Process &sp, SendAction action) {
-                return threadMode()
-                    ? workerSendThreadMode(sp, *wp, std::move(action))
-                    : workerSend(sp, *wp, std::move(action));
-            });
-    }
-    // Reading refreshes the connection's timestamp (unlocked
-    // single-word store, as OpenSER's timestamp updates are).
-    if (TcpConnObj *obj = shared_.conns.byId(conn_id))
-        obj->lastUse = p.sim().now();
 }
 
 sim::Task
@@ -267,8 +243,8 @@ TcpArch::workerSend(sim::Process &p, Worker &w, SendAction action)
     }
 
     // Fast path: we own the connection's read side (and its fd).
-    if (auto it = w.owned.find(id); it != w.owned.end()) {
-        co_await it->second.send(p, std::move(action.wire));
+    if (FramedConn *fc = w.owned.find(id)) {
+        co_await fc->conn.send(p, std::move(action.wire));
         co_return;
     }
 
@@ -397,16 +373,9 @@ sim::Task
 TcpArch::workerCloseConn(sim::Process &p, Worker &w,
                          std::uint64_t conn_id, bool dead)
 {
-    auto it = w.owned.find(conn_id);
-    if (it == w.owned.end())
+    if (!w.owned.find(conn_id))
         co_return;
-    co_await it->second.close(p);
-    w.owned.erase(it);
-    w.framers.erase(conn_id);
-    auto oit = std::find(w.ownedOrder.begin(), w.ownedOrder.end(),
-                         conn_id);
-    if (oit != w.ownedOrder.end())
-        w.ownedOrder.erase(oit);
+    co_await w.owned.close(p, conn_id);
 
     co_await shared_.conns.lock().acquire(p);
     co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
@@ -441,7 +410,7 @@ TcpArch::workerIdleScan(sim::Process &p, Worker &w)
                                * cfg_.costs.idleScanPerConn,
                            ccScan_);
         }
-        for (const auto &[id, fd] : w.owned) {
+        for (const auto &[id, fc] : w.owned) {
             TcpConnObj *obj = shared_.conns.byId(id);
             if (obj && !obj->dead
                 && now >= obj->lastUse + cfg_.idleTimeout) {
@@ -459,7 +428,7 @@ TcpArch::workerIdleScan(sim::Process &p, Worker &w)
             std::uint64_t id = w.localPq.top().id;
             w.localPq.pop();
             co_await p.cpu(cfg_.costs.pqOp, ccScan_);
-            if (!w.owned.count(id))
+            if (!w.owned.find(id))
                 continue;
             co_await shared_.conns.lock().acquire(p);
             co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);

@@ -17,6 +17,12 @@
  *  - ProxyConfig::concurrency    — §6 multithreaded variant: workers
  *                                  share one descriptor table, so no
  *                                  fd-passing IPC exists at all
+ *
+ * Workers hold their connections in an OwnedConns set and read them
+ * with readFrames() (core/transport_io.hh), as the event-driven loops
+ * do; a worker's poll cursor advances by the ready item's index. What
+ * the paper varies stays here: fd requests and the fd cache, returning
+ * connections to the supervisor, accept/dispatch, and the idle scans.
  */
 
 #ifndef SIPROX_CORE_TCP_ARCH_HH
@@ -33,6 +39,7 @@
 #include "core/engine.hh"
 #include "core/ipc_msg.hh"
 #include "core/shared.hh"
+#include "core/transport_io.hh"
 #include "core/worker_loop.hh"
 #include "net/network.hh"
 #include "net/tcp.hh"
@@ -49,7 +56,8 @@ namespace siprox::core {
 struct NewConnMsg
 {
     std::uint64_t connId = 0;
-    /** The worker's descriptor (empty in thread mode: fd is shared). */
+    /** The worker's descriptor (its read side, in both concurrency
+     *  models; thread mode writes through the shared table's). */
     net::TcpConn fd;
 
     SIPROX_IPC_MSG_LIFECYCLE(NewConnMsg);
@@ -137,11 +145,8 @@ class TcpArch final : public ServerArch
     struct Worker
     {
         int id = -1;
-        /** Connections this worker reads (process mode holds the fd;
-         *  thread mode holds only the id set). */
-        std::unordered_map<std::uint64_t, net::TcpConn> owned;
-        std::vector<std::uint64_t> ownedOrder;
-        std::unordered_map<std::uint64_t, sip::StreamFramer> framers;
+        /** Connections this worker reads, with their framers. */
+        OwnedConns owned;
         /** §5.2 fd cache: descriptors for other workers' connections. */
         std::unordered_map<std::uint64_t, net::TcpConn> fdCache;
         /** §5.3: local priority queue over owned connections. */

@@ -1,8 +1,6 @@
 #include "core/udp_arch.hh"
 
-#include "net/sctp.hh"
-#include "net/sst.hh"
-#include "net/udp.hh"
+#include "core/transport_io.hh"
 #include "sim/simulation.hh"
 
 namespace siprox::core {
@@ -16,12 +14,7 @@ UdpArch::UdpArch(sim::Machine &machine, net::Host &host,
 void
 UdpArch::start()
 {
-    if (cfg_.transport == Transport::Sctp)
-        sock_ = &host_.sctpBind(cfg_.port);
-    else if (cfg_.transport == Transport::Sst)
-        sock_ = &host_.sstBind(cfg_.port);
-    else
-        sock_ = &host_.udpBind(cfg_.port);
+    sock_ = &bindDatagram(host_, cfg_.transport, cfg_.port);
     net::Addr addr = host_.addr(cfg_.port);
     for (int i = 0; i < cfg_.workers; ++i) {
         engines_.push_back(

@@ -55,18 +55,6 @@ class WorkerLoop
 
     Engine &engine() { return engine_; }
 
-    /** Trace one received stream chunk, labeled by connection. */
-    static void
-    traceRxConn(sim::Process &p, std::uint64_t conn_id,
-                std::size_t bytes)
-    {
-        if (sim::trace::enabled()) {
-            sim::trace::log(p.sim().now(), "proxy-rx",
-                            "conn " + std::to_string(conn_id) + " "
-                                + std::to_string(bytes) + "B");
-        }
-    }
-
     /**
      * Process one message read from a stream: open a causal span
      * covering the engine work and every transmission it triggers, run

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "net/error.hh"
 #include "sim/simulation.hh"
@@ -195,7 +193,7 @@ struct TcpOps
         co_await p.cpu(ep->host_.net().config().tcpCloseCost,
                        kTcpCloseCc);
         if (was_open)
-            ep->closeHandle("closeop");
+            ep->closeHandle();
     }
 };
 
@@ -226,18 +224,8 @@ TcpEndpoint::wakeAllWaiters()
 }
 
 void
-TcpEndpoint::closeHandle(const char *tag)
+TcpEndpoint::closeHandle()
 {
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-    handleLog += std::string(tag) + "->"
-        + std::to_string(openHandles_ - 1) + ";";
-    if (openHandles_ <= 0) {
-        std::fprintf(stderr, "DOUBLE CLOSE conn %llu %s->%s log: %s\n",
-                     (unsigned long long)id_, local_.toString().c_str(),
-                     remote_.toString().c_str(), handleLog.c_str());
-        std::abort();
-    }
-#endif
     assert(openHandles_ > 0);
     if (--openHandles_ > 0)
         return;
@@ -318,12 +306,6 @@ TcpConn::dup() const
         c.ep_ = ep_;
         c.open_ = true;
         ++ep_->openHandles_;
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "dup(%p)->%d;", (void *)&c,
-                      ep_->openHandles_);
-        ep_->handleLog += buf;
-#endif
     }
     return c;
 }

@@ -16,7 +16,6 @@
 #define SIPROX_NET_TCP_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -87,7 +86,7 @@ class TcpEndpoint : public sim::Pollable,
     void wakeAllWaiters();
 
     /** Drop one handle; the last one runs the close protocol. */
-    void closeHandle(const char *tag = "?");
+    void closeHandle();
 
     Host &host_;
     Addr local_;
@@ -113,10 +112,6 @@ class TcpEndpoint : public sim::Pollable,
     sim::SimTime tlsPendingHandshake_ = 0;
     std::shared_ptr<TcpEndpoint> peer_;
     sim::Fifo<sim::Process *> waiters_;
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-  public:
-    std::string handleLog;
-#endif
 };
 
 /**
@@ -133,32 +128,16 @@ class TcpConn
         : ep_(std::move(other.ep_)), open_(other.open_)
     {
         other.open_ = false;
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-        if (open_ && ep_) {
-            char buf[80];
-            std::snprintf(buf, sizeof(buf), "mv(%p<-%p);", (void *)this,
-                          (void *)&other);
-            ep_->handleLog += buf;
-        }
-#endif
     }
 
     TcpConn &
     operator=(TcpConn &&other) noexcept
     {
         if (this != &other) {
-            closeQuiet("massign");
+            closeQuiet();
             ep_ = std::move(other.ep_);
             open_ = other.open_;
             other.open_ = false;
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-            if (open_ && ep_) {
-                char buf[80];
-                std::snprintf(buf, sizeof(buf), "ma(%p<-%p);",
-                              (void *)this, (void *)&other);
-                ep_->handleLog += buf;
-            }
-#endif
         }
         return *this;
     }
@@ -166,7 +145,7 @@ class TcpConn
     TcpConn(const TcpConn &) = delete;
     TcpConn &operator=(const TcpConn &) = delete;
 
-    ~TcpConn() { closeQuiet("dtor"); }
+    ~TcpConn() { closeQuiet(); }
 
     bool valid() const { return open_ && ep_ != nullptr; }
 
@@ -196,15 +175,10 @@ class TcpConn
 
     /** Close without a process context (teardown paths). */
     void
-    closeQuiet(const char *tag = "quiet")
+    closeQuiet()
     {
         if (open_ && ep_) {
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "(%p)", (void *)this);
-            ep_->handleLog += buf;
-#endif
-            ep_->closeHandle(tag);
+            ep_->closeHandle();
             open_ = false;
         }
         ep_.reset();
@@ -224,12 +198,6 @@ class TcpConn
         : ep_(std::move(ep)), open_(true)
     {
         ++ep_->openHandles_;
-#ifdef SIPROX_TCP_HANDLE_DEBUG
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "open(%p)->%d;", (void *)this,
-                      ep_->openHandles_);
-        ep_->handleLog += buf;
-#endif
     }
 
     std::shared_ptr<TcpEndpoint> ep_;

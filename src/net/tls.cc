@@ -90,7 +90,7 @@ Host::tlsConnect(sim::Process &p, Addr remote, TcpConn &out)
                         ++net_.stats().tcpRstInjected;
                     else
                         ++net_.stats().tcpBlackholed;
-                    conn.closeQuiet("tls-abort");
+                    conn.closeQuiet();
                     throw NetError(NetErrc::ConnectionRefused,
                                    "TLS handshake aborted: "
                                        + remote.toString());
@@ -112,7 +112,7 @@ Host::tlsConnect(sim::Process &p, Addr remote, TcpConn &out)
     // architecture layers' accept paths transport-agnostic.
     auto ep = conn.endpoint();
     if (!ep || ep->state() != TcpState::Established) {
-        conn.closeQuiet("tls-dead");
+        conn.closeQuiet();
         throw NetError(NetErrc::ConnectionRefused,
                        "connection died during TLS handshake: "
                            + remote.toString());

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/transport_io.hh"
 #include "net/error.hh"
-#include "net/sst.hh"
 #include "sim/pollable.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
@@ -35,21 +35,10 @@ class Phone::Link
     open(sim::Process &p, bool *ok)
     {
         *ok = true;
-        switch (cfg_.transport) {
-          case core::Transport::Udp:
-            udp_ = &host_.udpBind(cfg_.port);
-            break;
-          case core::Transport::Sctp:
-            sctp_ = &host_.sctpBind(cfg_.port);
-            break;
-          case core::Transport::Sst:
-            sst_ = &host_.sstBind(cfg_.port);
-            break;
-          case core::Transport::Tcp:
-          case core::Transport::Tls:
+        if (core::isStreamTransport(cfg_.transport))
             co_await connect(p, ok);
-            break;
-        }
+        else
+            dgram_ = &core::bindDatagram(host_, cfg_.transport, cfg_.port);
     }
 
     /** Send to the proxy, or (datagram transports only) directly to
@@ -65,25 +54,13 @@ class Phone::Link
             sim::trace::log(p.sim().now(), cfg_.user + " ->",
                             wire.substr(0, eol));
         }
-        net::Addr target = dst.valid() ? dst : cfg_.proxyAddr;
-        switch (cfg_.transport) {
-          case core::Transport::Udp:
-            co_await udp_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Sctp:
-            co_await sctp_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Sst:
-            co_await sst_->sendTo(p, target, std::move(wire));
-            break;
-          case core::Transport::Tcp:
-          case core::Transport::Tls:
-            if (!active_) {
-                *ok = false;
-                co_return;
-            }
+        if (dgram_) {
+            co_await dgram_->sendTo(p, dst.valid() ? dst : cfg_.proxyAddr,
+                                    std::move(wire));
+        } else if (active_) {
             co_await active_->conn.send(p, std::move(wire));
-            break;
+        } else {
+            *ok = false;
         }
     }
 
@@ -98,18 +75,12 @@ class Phone::Link
         std::vector<sim::Pollable *> items;
         while (ready_.empty()) {
             items.clear();
-            if (udp_) {
-                items.push_back(udp_);
-            } else if (sctp_) {
-                items.push_back(sctp_);
-            } else if (sst_) {
-                items.push_back(sst_);
-            } else {
-                if (active_)
-                    items.push_back(&active_->conn.readable());
-                for (auto &z : zombies_)
-                    items.push_back(&z->conn.readable());
-            }
+            if (dgram_)
+                items.push_back(dgram_);
+            if (active_)
+                items.push_back(&active_->conn.readable());
+            for (auto &z : zombies_)
+                items.push_back(&z->conn.readable());
             sim::SimTime budget = deadline == sim::kTimeNever
                 ? sim::kTimeNever
                 : deadline - p.sim().now();
@@ -158,22 +129,11 @@ class Phone::Link
         }
     }
 
-    bool hasActiveFlow() const
-    {
-        return udp_ || sctp_ || sst_ || active_ != nullptr;
-    }
-
   private:
-    struct TcpFlow
-    {
-        net::TcpConn conn;
-        sip::StreamFramer framer;
-    };
-
     sim::Task
     connect(sim::Process &p, bool *ok)
     {
-        auto flow = std::make_unique<TcpFlow>();
+        auto flow = std::make_unique<core::FramedConn>();
         try {
             if (cfg_.transport == core::Transport::Tls)
                 co_await host_.tlsConnect(p, cfg_.proxyAddr,
@@ -193,26 +153,10 @@ class Phone::Link
     sim::Task
     harvest(sim::Process &p)
     {
-        if (udp_) {
+        if (dgram_) {
             net::Datagram d;
-            while (udp_->pollReady()) {
-                co_await udp_->recvFrom(p, d);
-                ready_.push_back(std::move(d.payload));
-            }
-            co_return;
-        }
-        if (sctp_) {
-            net::Datagram d;
-            while (sctp_->pollReady()) {
-                co_await sctp_->recvFrom(p, d);
-                ready_.push_back(std::move(d.payload));
-            }
-            co_return;
-        }
-        if (sst_) {
-            net::Datagram d;
-            while (sst_->pollReady()) {
-                co_await sst_->recvFrom(p, d);
+            while (dgram_->pollReady()) {
+                co_await dgram_->recvFrom(p, d);
                 ready_.push_back(std::move(d.payload));
             }
             co_return;
@@ -238,28 +182,28 @@ class Phone::Link
         }
     }
 
+    /** Queue every message one read of @p flow frames; *alive turns
+     *  false on EOF, reset, or an unframeable stream. */
     sim::Task
-    readFlow(sim::Process &p, TcpFlow &flow, bool *alive)
+    readFlow(sim::Process &p, core::FramedConn &flow, bool *alive)
     {
-        std::string bytes;
-        co_await flow.conn.recv(p, bytes);
-        if (bytes.empty()) {
-            *alive = false; // EOF / reset
-            co_return;
-        }
-        flow.framer.feed(std::move(bytes));
-        while (auto raw = flow.framer.next())
-            ready_.push_back(std::move(*raw));
-        *alive = !flow.framer.poisoned();
+        core::FramedConn *fc = &flow;
+        core::StreamState state;
+        co_await core::readFrames(
+            p, [fc] { return fc; },
+            [this](sim::Process &, std::string raw) {
+                ready_.push_back(std::move(raw));
+            },
+            &state);
+        *alive = state == core::StreamState::Open;
     }
 
     net::Host &host_;
     const PhoneConfig &cfg_;
-    net::UdpSocket *udp_ = nullptr;
-    net::SctpSocket *sctp_ = nullptr;
-    net::SstSocket *sst_ = nullptr;
-    std::unique_ptr<TcpFlow> active_;
-    std::vector<std::unique_ptr<TcpFlow>> zombies_;
+    /** The bound socket (datagram transports only). */
+    net::DatagramSocket *dgram_ = nullptr;
+    std::unique_ptr<core::FramedConn> active_;
+    std::vector<std::unique_ptr<core::FramedConn>> zombies_;
     sim::Fifo<std::string> ready_;
 };
 
@@ -313,8 +257,6 @@ Phone::opDone(sim::SimTime now)
 {
     ++stats_.opsCompleted;
     ++opsSinceConnect_;
-    if (stats_.firstOpDone < 0)
-        stats_.firstOpDone = now;
     stats_.lastOpDone = now;
 }
 
@@ -402,10 +344,8 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
         }
         co_await p.cpu(cfg_.processCost, kPhoneCc);
         auto parsed = sip::parseMessage(raw);
-        if (!parsed.ok) {
-            ++stats_.strayMessages;
+        if (!parsed.ok)
             continue;
-        }
         sip::SipMessage &msg = parsed.message;
         if (msg.isRequest()) {
             // Do not drop requests racing a response (e.g. the next
@@ -415,10 +355,8 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
         }
         auto cseq = msg.cseq();
         if (msg.callId() != call_id || !cseq
-            || cseq->method != method) {
-            ++stats_.strayMessages;
+            || cseq->method != method)
             continue;
-        }
         if (msg.isProvisional()) {
             got_provisional = true;
             continue;
@@ -500,7 +438,6 @@ Phone::transact(sim::Process &p, sip::RequestSpec spec,
         }
         // Digest challenge: remember the nonce and retry with
         // credentials and an incremented CSeq (RFC 2617).
-        ++stats_.authChallengesSeen;
         authNonce_ = nonceFrom(**rsp);
         spec.cseq = ++cseq_;
         spec.branch = branches_.next();
@@ -555,7 +492,6 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
                               : std::nullopt;
         if (!direct)
             co_return;
-        ++stats_.redirectsFollowed;
         requestDst_ = *direct;
         spec.requestUri = *contact;
         spec.cseq = ++cseq_;
@@ -703,15 +639,9 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
         }
         co_await p.cpu(cfg_.processCost, kPhoneCc);
         auto parsed = sip::parseOwned(std::move(raw));
-        if (!parsed.ok) {
-            ++stats_.strayMessages;
-            continue;
-        }
+        if (!parsed.ok || !parsed.message.isRequest())
+            continue; // stray
         sip::SipMessage &msg = parsed.message;
-        if (!msg.isRequest()) {
-            ++stats_.strayMessages;
-            continue;
-        }
         switch (msg.method()) {
           case sip::Method::Invite: {
             std::string cid(msg.callId());
@@ -778,8 +708,7 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             break;
           }
           default:
-            ++stats_.strayMessages;
-            break;
+            break; // stray
         }
     }
     if (done)

@@ -21,9 +21,6 @@
 
 #include "core/config.hh"
 #include "net/network.hh"
-#include "net/sctp.hh"
-#include "net/tcp.hh"
-#include "net/udp.hh"
 #include "sim/fifo.hh"
 #include "sim/machine.hh"
 #include "sim/sync.hh"
@@ -86,13 +83,9 @@ struct PhoneStats
     std::uint64_t retransmissions = 0;
     std::uint64_t reconnects = 0;
     std::uint64_t reconnectFailures = 0;
-    std::uint64_t strayMessages = 0;
     std::uint64_t registers = 0;
-    std::uint64_t authChallengesSeen = 0;
-    std::uint64_t redirectsFollowed = 0;
     std::uint64_t rejected503 = 0; ///< calls refused with 503
     std::uint64_t backoffs = 0;    ///< Retry-After sleeps taken
-    sim::SimTime firstOpDone = -1;
     sim::SimTime lastOpDone = 0;
 };
 

@@ -455,6 +455,463 @@ const char kSctpSeed29Golden[] = "ops=800\n"
                                  "retransEntriesAtEnd=0\n"
                                  "connEntriesAtEnd=0\n";
 
+// --- stream-path pins -------------------------------------------------
+// Recorded before the supervisor workers, event loops, dispatcher and
+// phones were moved onto one framed reader and one owned-connection
+// set. Each case pins one stream receive path with idle closes that
+// really run; the mechanism counters the digest leaves out are pinned
+// beside it.
+
+const char kSupervisorTcpFixedSeed31[] =
+    "ops=300\n"
+    "callsCompleted=150\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=60\n"
+    "reconnectFailures=0\n"
+    "duration=12814788\n"
+    "inviteP50=1245183\n"
+    "inviteP99=2490367\n"
+    "timedOut=0\n"
+    "messagesIn=1020\n"
+    "requestsIn=570\n"
+    "responsesIn=450\n"
+    "forwards=900\n"
+    "localReplies=270\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=120\n"
+    "connsAccepted=120\n"
+    "connsDestroyed=120\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=0\n"
+    "udpDelivered=0\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=120\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2190\n"
+    "tcpBytes=662475\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kThreadTcpSeed37[] =
+    "ops=300\n"
+    "callsCompleted=150\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=60\n"
+    "reconnectFailures=0\n"
+    "duration=11511474\n"
+    "inviteP50=1114111\n"
+    "inviteP99=1835007\n"
+    "timedOut=0\n"
+    "messagesIn=1020\n"
+    "requestsIn=570\n"
+    "responsesIn=450\n"
+    "forwards=900\n"
+    "localReplies=270\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=120\n"
+    "connsAccepted=120\n"
+    "connsDestroyed=120\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=0\n"
+    "udpDelivered=0\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=120\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2190\n"
+    "tcpBytes=662463\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kEventIpcTcpSeed41[] =
+    "ops=300\n"
+    "callsCompleted=150\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=60\n"
+    "reconnectFailures=0\n"
+    "duration=23257443\n"
+    "inviteP50=2228223\n"
+    "inviteP99=3145727\n"
+    "timedOut=0\n"
+    "messagesIn=1020\n"
+    "requestsIn=570\n"
+    "responsesIn=450\n"
+    "forwards=900\n"
+    "localReplies=270\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=120\n"
+    "connsAccepted=120\n"
+    "connsDestroyed=120\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=0\n"
+    "udpDelivered=0\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=120\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2190\n"
+    "tcpBytes=663127\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kEventTcpSeed43[] =
+    "ops=400\n"
+    "callsCompleted=200\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=80\n"
+    "reconnectFailures=0\n"
+    "duration=14990027\n"
+    "inviteP50=1245183\n"
+    "inviteP99=2621439\n"
+    "timedOut=0\n"
+    "messagesIn=1360\n"
+    "requestsIn=760\n"
+    "responsesIn=600\n"
+    "forwards=1200\n"
+    "localReplies=360\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=160\n"
+    "connsAccepted=160\n"
+    "connsDestroyed=160\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=0\n"
+    "udpDelivered=0\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=160\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2920\n"
+    "tcpBytes=885608\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kEventTlsSeed47[] =
+    "ops=300\n"
+    "callsCompleted=150\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=60\n"
+    "reconnectFailures=0\n"
+    "duration=12837209\n"
+    "inviteP50=1179647\n"
+    "inviteP99=1900543\n"
+    "timedOut=0\n"
+    "messagesIn=1020\n"
+    "requestsIn=570\n"
+    "responsesIn=450\n"
+    "forwards=900\n"
+    "localReplies=270\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=120\n"
+    "connsAccepted=120\n"
+    "connsDestroyed=120\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=0\n"
+    "udpDelivered=0\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=120\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2190\n"
+    "tcpBytes=663031\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "tlsConnects=120\n"
+    "tlsHandshakesFull=60\n"
+    "tlsHandshakesResumed=60\n"
+    "tlsZeroRttResumes=0\n"
+    "tlsSessionEvictions=0\n"
+    "tlsHandshakeAborts=0\n"
+    "tlsRecords=2190\n";
+
+const char kClusterTcpSeed53[] =
+    "ops=160\n"
+    "callsCompleted=80\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=32\n"
+    "reconnectFailures=0\n"
+    "duration=12446439\n"
+    "inviteP50=1179647\n"
+    "inviteP99=1638399\n"
+    "timedOut=0\n"
+    "messagesIn=544\n"
+    "requestsIn=304\n"
+    "responsesIn=240\n"
+    "forwards=480\n"
+    "localReplies=144\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=64\n"
+    "connsAccepted=2\n"
+    "connsDestroyed=2\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=64\n"
+    "udpDelivered=64\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=66\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2336\n"
+    "tcpBytes=704498\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "clusterInstances=2\n"
+    "dispMessagesIn=1168\n"
+    "dispRequestsRouted=544\n"
+    "dispResponsesRouted=624\n"
+    "dispRegistersRouted=64\n"
+    "dispPeekFailures=0\n"
+    "dispDropsNoRoute=0\n"
+    "dispClientConnsAccepted=64\n"
+    "locLocalHits=240\n"
+    "locReplicaHits=0\n"
+    "locMissForwards=0\n"
+    "locRegisterForwards=0\n"
+    "locReplPushes=64\n"
+    "locReplInstalls=64\n"
+    "inst0.messagesIn=298\n"
+    "inst0.forwards=270\n"
+    "inst0.localReplies=73\n"
+    "inst0.registrations=28\n"
+    "inst0.locLocalHits=135\n"
+    "inst0.locReplicaHits=0\n"
+    "inst0.locMissForwards=0\n"
+    "inst0.locReplPushes=28\n"
+    "inst0.locReplInstalls=36\n"
+    "inst0.dispatched=163\n"
+    "inst1.messagesIn=246\n"
+    "inst1.forwards=210\n"
+    "inst1.localReplies=71\n"
+    "inst1.registrations=36\n"
+    "inst1.locLocalHits=105\n"
+    "inst1.locReplicaHits=0\n"
+    "inst1.locMissForwards=0\n"
+    "inst1.locReplPushes=36\n"
+    "inst1.locReplInstalls=28\n"
+    "inst1.dispatched=141\n";
+
+/**
+ * Connection churn with idle closes that really run: phones abandon
+ * their connection every 5 operations, and a 200 ms idle timeout plus
+ * 1 s of settle time let the idle machinery close and destroy the
+ * abandoned connections before the counters are read.
+ */
+Scenario
+streamChurn(core::Transport transport, int clients, std::uint64_t seed)
+{
+    Scenario sc = paperScenario(transport, clients, 5);
+    sc.callsPerClient = 5;
+    sc.seed = seed;
+    sc.proxy.idleTimeout = sim::msecs(200);
+    sc.settleTime = sim::secs(1);
+    return sc;
+}
+
+/** Stream-mechanism counters that are not part of the digest. */
+struct StreamMechanisms
+{
+    std::uint64_t fdRequests;
+    std::uint64_t fdCacheHits;
+    std::uint64_t idleScans;
+    std::uint64_t idleScanVisited;
+    std::uint64_t connsStolen;
+    std::uint64_t connsReturnedByWorkers;
+};
+
+void
+expectMechanisms(const RunResult &r, const StreamMechanisms &want)
+{
+    EXPECT_EQ(r.counters.fdRequests, want.fdRequests);
+    EXPECT_EQ(r.counters.fdCacheHits, want.fdCacheHits);
+    EXPECT_EQ(r.counters.idleScans, want.idleScans);
+    EXPECT_EQ(r.counters.idleScanVisited, want.idleScanVisited);
+    EXPECT_EQ(r.counters.connsStolen, want.connsStolen);
+    EXPECT_EQ(r.counters.connsReturnedByWorkers,
+              want.connsReturnedByWorkers);
+    // Every case closes and destroys abandoned connections.
+    EXPECT_GT(r.counters.connsDestroyed, 0u);
+    EXPECT_GT(r.counters.idleScans, 0u);
+}
+
 TEST(DigestGolden, UdpPaperScenarioSeed7)
 {
     Scenario sc = paperScenario(core::Transport::Udp, 20, 0);
@@ -524,6 +981,90 @@ TEST(DigestGolden, SctpScenarioSeed29)
     sc.seed = 29;
     RunResult r = runScenario(sc);
     EXPECT_EQ(r.digest(), kSctpSeed29Golden);
+}
+
+// §5.2's fd cache and §5.3's priority queues on the supervisor arch:
+// descriptor requests, cache hits, and priority-queue idle closes.
+TEST(DigestGolden, SupervisorTcpFdCachePrioQueueSeed31)
+{
+    Scenario sc = streamChurn(core::Transport::Tcp, 30, 31);
+    sc.proxy.fdCache = true;
+    sc.proxy.idleStrategy = core::IdleStrategy::PriorityQueue;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kSupervisorTcpFixedSeed31);
+    expectMechanisms(r, {120, 780, 199, 182, 0, 120});
+    EXPECT_GT(r.counters.fdRequests, 0u);
+    EXPECT_GT(r.counters.fdCacheHits, 0u);
+    EXPECT_GT(r.counters.connsReturnedByWorkers, 0u);
+}
+
+// §6's multithreaded variant: one shared descriptor table, so no fd
+// requests; linear-scan idle closes still return connections.
+TEST(DigestGolden, ThreadModeTcpSeed37)
+{
+    Scenario sc = streamChurn(core::Transport::Tcp, 30, 37);
+    sc.proxy.concurrency = core::ConcurrencyModel::Thread;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kThreadTcpSeed37);
+    expectMechanisms(r, {0, 0, 199, 4920, 0, 120});
+    EXPECT_GT(r.counters.idleScanVisited, 0u);
+    EXPECT_GT(r.counters.connsReturnedByWorkers, 0u);
+}
+
+// §6's non-blocking dispatch: four workers behind one-slot dispatch
+// channels, so the supervisor's pending-dispatch backlog fills.
+TEST(DigestGolden, EventDrivenIpcTcpSeed41)
+{
+    Scenario sc = streamChurn(core::Transport::Tcp, 30, 41);
+    sc.proxy.eventDrivenIpc = true;
+    sc.proxy.workers = 4;
+    sc.proxy.dispatchChannelCapacity = 1;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kEventIpcTcpSeed41);
+    expectMechanisms(r, {780, 0, 199, 4984, 0, 120});
+    EXPECT_GT(r.counters.fdRequests, 0u);
+    EXPECT_GT(r.counters.connsReturnedByWorkers, 0u);
+}
+
+// The event-driven loops over TCP and TLS: work stealing, per-loop
+// duplicate-descriptor hits, and loop-local idle closes.
+TEST(DigestGolden, EventTcpSeed43)
+{
+    Scenario sc = streamChurn(core::Transport::Tcp, 40, 43);
+    sc.proxy.arch = core::ArchKind::EventDriven;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kEventTcpSeed43);
+    expectMechanisms(r, {0, 849, 796, 295, 61, 0});
+    EXPECT_GT(r.counters.connsStolen, 0u);
+    EXPECT_GT(r.counters.fdCacheHits, 0u);
+}
+
+TEST(DigestGolden, EventTlsSeed47)
+{
+    Scenario sc = streamChurn(core::Transport::Tls, 30, 47);
+    sc.proxy.arch = core::ArchKind::EventDriven;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kEventTlsSeed47);
+    expectMechanisms(r, {0, 614, 796, 272, 89, 0});
+    EXPECT_GT(r.counters.connsStolen, 0u);
+    EXPECT_GT(r.counters.fdCacheHits, 0u);
+}
+
+// A two-instance TCP cluster: the dispatcher relays phone connections
+// over per-instance trunks, and the instances' idle closes end the
+// trunks during the settle time.
+TEST(DigestGolden, ClusterTcpSeed53)
+{
+    Scenario sc = streamChurn(core::Transport::Tcp, 16, 53);
+    sc.cluster.instances = 2;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kClusterTcpSeed53);
+    expectMechanisms(r, {0, 0, 398, 84, 0, 2});
+    EXPECT_GT(r.dispatcherStats.requestsRouted, 0u);
+    EXPECT_GT(r.dispatcherStats.responsesRouted, 0u);
+    EXPECT_GT(r.dispatcherStats.clientConnsAccepted, 0u);
 }
 
 TEST(DigestGolden, RepeatRunsAreByteIdentical)
