@@ -5,10 +5,12 @@
  * Unlike the figure benches (which report *simulated* throughput), this
  * binary measures the library's real cost on the host CPU: ns/op and
  * allocations/op for the SIP parse/serialize/forward micros and the
- * event queue, plus wall-clock seconds and events/sec for a fixed
- * fig3-style scenario, and the resident footprint of one simulated
- * phone. Results land in BENCH_hotpath.json so every PR's numbers are
- * comparable — see docs/performance.md.
+ * event queue (each timed kTrials times; min, median and max ns/op are
+ * recorded, and the CI gate reads the min), plus wall-clock seconds,
+ * simulated events and allocations/op for fixed fig3-style scenarios,
+ * and the resident footprint of one simulated phone. Results land in
+ * BENCH_hotpath.json so every PR's numbers are comparable — see
+ * docs/performance.md.
  *
  * Allocations are counted by interposing global operator new/delete in
  * this binary only; the library itself is untouched.
@@ -22,6 +24,8 @@
  *   argv[1]                      output path (default BENCH_hotpath.json)
  */
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,6 +33,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -103,47 +108,74 @@ envFlag(const char *name)
     return v && *v && std::strcmp(v, "0") != 0;
 }
 
+/** Timed repetitions of each micro. A single shot is too noisy to
+ *  gate on a shared host; the minimum of several is not. */
+constexpr int kTrials = 5;
+
 /** One micro's measured numbers. */
 struct Micro
 {
     const char *name;
     std::uint64_t iters = 0;
-    double nsPerOp = 0;
+    /** ns/op over the kTrials repetitions. */
+    double nsMin = 0;
+    double nsMedian = 0;
+    double nsMax = 0;
     double allocsPerOp = 0;
     double allocBytesPerOp = 0;
 };
 
 /**
- * Run @p body() @p iters times, charging time and allocations to the
- * returned record. A short warmup primes caches and lazy init.
+ * Run @p body() @p iters times, kTrials times over, charging time and
+ * allocations to the returned record. A short warmup primes caches and
+ * lazy init. @p before_trial runs untimed ahead of each trial, for
+ * micros whose fixture must start every trial in the same state.
+ * Allocation counts are averaged over every trial (they are
+ * deterministic, so each trial sees the same count).
  */
+template <class F, class R>
+Micro
+measure(const char *name, std::uint64_t iters, F &&body, R &&before_trial)
+{
+    for (std::uint64_t i = 0; i < iters / 20 + 1; ++i)
+        body();
+    std::uint64_t allocs = 0;
+    std::uint64_t alloc_bytes = 0;
+    std::array<double, kTrials> ns{};
+    for (double &trial : ns) {
+        before_trial();
+        std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+        std::uint64_t b0 = g_allocBytes.load(std::memory_order_relaxed);
+        auto t0 = Clock::now();
+        for (std::uint64_t i = 0; i < iters; ++i)
+            body();
+        auto t1 = Clock::now();
+        allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+        alloc_bytes += g_allocBytes.load(std::memory_order_relaxed) - b0;
+        trial = static_cast<double>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        t1 - t0)
+                        .count())
+            / static_cast<double>(iters);
+    }
+    std::sort(ns.begin(), ns.end());
+    const double ops = static_cast<double>(iters) * kTrials;
+    Micro m;
+    m.name = name;
+    m.iters = iters;
+    m.nsMin = ns.front();
+    m.nsMedian = ns[kTrials / 2];
+    m.nsMax = ns.back();
+    m.allocsPerOp = static_cast<double>(allocs) / ops;
+    m.allocBytesPerOp = static_cast<double>(alloc_bytes) / ops;
+    return m;
+}
+
 template <class F>
 Micro
 measure(const char *name, std::uint64_t iters, F &&body)
 {
-    for (std::uint64_t i = 0; i < iters / 20 + 1; ++i)
-        body();
-    std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    std::uint64_t b0 = g_allocBytes.load(std::memory_order_relaxed);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i)
-        body();
-    auto t1 = Clock::now();
-    std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-    std::uint64_t b1 = g_allocBytes.load(std::memory_order_relaxed);
-    Micro m;
-    m.name = name;
-    m.iters = iters;
-    m.nsPerOp = static_cast<double>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        t1 - t0)
-                        .count())
-        / static_cast<double>(iters);
-    m.allocsPerOp =
-        static_cast<double>(a1 - a0) / static_cast<double>(iters);
-    m.allocBytesPerOp =
-        static_cast<double>(b1 - b0) / static_cast<double>(iters);
-    return m;
+    return measure(name, iters, std::forward<F>(body), [] {});
 }
 
 SipMessage
@@ -299,9 +331,11 @@ writeMetrics(std::FILE *f, const std::vector<Micro> &micros,
         const Micro &m = micros[i];
         std::fprintf(f,
                      "    \"%s\": {\"ns_per_op\": %.1f, "
-                     "\"allocs_per_op\": %.2f, "
+                     "\"ns_per_op_min\": %.1f, \"ns_per_op_max\": %.1f, "
+                     "\"trials\": %d, \"allocs_per_op\": %.2f, "
                      "\"alloc_bytes_per_op\": %.1f, \"iters\": %llu}%s\n",
-                     m.name, m.nsPerOp, m.allocsPerOp, m.allocBytesPerOp,
+                     m.name, m.nsMedian, m.nsMin, m.nsMax, kTrials,
+                     m.allocsPerOp, m.allocBytesPerOp,
                      static_cast<unsigned long long>(m.iters),
                      i + 1 < micros.size() ? "," : "");
     }
@@ -351,11 +385,17 @@ main(int argc, char **argv)
         if (s.empty())
             std::abort();
     }));
-    micros.push_back(measure("forward_rewrite", 2 * k, [&] {
-        std::string s = forwardRewrite(SipMessage(built));
-        if (s.empty())
-            std::abort();
-    }));
+    // Copies share the original's arena, so every rewrite of a copy
+    // grows built's arena; a fresh message per trial keeps the
+    // retained bytes (and the harness's peak RSS) at one trial's worth.
+    micros.push_back(measure(
+        "forward_rewrite", 2 * k,
+        [&] {
+            std::string s = forwardRewrite(SipMessage(built));
+            if (s.empty())
+                std::abort();
+        },
+        [&] { built = sampleInvite(); }));
     // The acceptance-criteria micro: receive bytes, parse, rewrite as a
     // proxy would, re-serialize.
     micros.push_back(measure("parse_forward", 2 * k, [&] {
@@ -447,8 +487,11 @@ main(int argc, char **argv)
 
     // Console summary.
     for (const Micro &m : micros) {
-        std::fprintf(stderr, "%-22s %9.1f ns/op  %6.2f allocs/op\n",
-                     m.name, m.nsPerOp, m.allocsPerOp);
+        std::fprintf(stderr,
+                     "%-22s %9.1f ns/op (min %.1f, max %.1f)  "
+                     "%6.2f allocs/op\n",
+                     m.name, m.nsMedian, m.nsMin, m.nsMax,
+                     m.allocsPerOp);
     }
     for (const SweepResult &s : sweeps) {
         std::fprintf(stderr,

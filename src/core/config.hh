@@ -184,8 +184,6 @@ struct HopControlConfig
      *  Forced to 0 under the event-driven architecture, whose loops
      *  must never block. */
     sim::SimTime holdMax = 0;
-    /** Re-check period while parked. */
-    sim::SimTime holdTick = sim::msecs(10);
     /** Retry-After carried in hop-throttle 503 rejections. */
     int retryAfterSecs = 1;
 };
@@ -289,6 +287,9 @@ struct ClusterMemberConfig
     bool enabled() const { return instances > 0; }
 };
 
+/** Timer tick driving idle scans (supervisor, workers, event loops). */
+inline constexpr sim::SimTime kIdleScanInterval = sim::msecs(10);
+
 /** Full proxy configuration. */
 struct ProxyConfig
 {
@@ -326,14 +327,10 @@ struct ProxyConfig
     sim::SimTime idleTimeout = sim::secs(10);
     /** Supervisor nice value; the paper elevates it to -20. */
     int supervisorNice = -20;
-    /** Timer tick driving idle scans (supervisor and workers). */
-    sim::SimTime idleScanInterval = sim::msecs(10);
     /** §6: never block in IPC sends (prevents the deadlock). */
     bool eventDrivenIpc = false;
     /** Capacity of each supervisor->worker dispatch channel. */
     int dispatchChannelCapacity = 64;
-    /** Capacity of the shared worker->supervisor request channel. */
-    int requestChannelCapacity = 512;
 
     // --- stateful timer engine ---------------------------------------------
     /** Tick of the timer process scanning the retransmission list. */

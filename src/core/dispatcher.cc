@@ -7,6 +7,10 @@ namespace siprox::core {
 
 namespace {
 
+/** Receive loops over the shared UDP socket (TCP spawns one reader
+ *  per connection instead, like the proxies it fronts). */
+constexpr int kDispatcherWorkers = 8;
+
 /** Extract the URI from a name-addr header value like "<sip:x>;tag=y". */
 std::optional<sip::SipUri>
 uriFromNameAddr(std::string_view value)
@@ -101,7 +105,7 @@ Dispatcher::start()
         });
     } else {
         sock_ = &host_.udpBind(cfg_.port);
-        for (int i = 0; i < cfg_.workers; ++i) {
+        for (int i = 0; i < kDispatcherWorkers; ++i) {
             machine_.spawn("dworker" + std::to_string(i), 0,
                            [this](sim::Process &p) {
                                return udpWorkerMain(p);

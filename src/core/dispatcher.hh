@@ -73,9 +73,6 @@ struct DispatcherConfig
     Transport transport = Transport::Udp;
     std::uint16_t port = 5060;
     DispatchPolicy policy = DispatchPolicy::HashAor;
-    /** Receive loops over the shared UDP socket (TCP spawns one reader
-     *  per connection instead, like the proxies it fronts). */
-    int workers = 8;
     /** Virtual nodes per instance; must match the instances' location
      *  config so dispatch and shard ownership agree. */
     int vnodes = 64;

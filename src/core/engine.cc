@@ -9,6 +9,9 @@ namespace siprox::core {
 
 namespace {
 
+/** Re-check period of a forward parked by the hop gate's hold. */
+constexpr sim::SimTime kHopHoldTick = sim::msecs(10);
+
 /** Extract the URI from a name-addr header value like "<sip:x>;tag=y". */
 std::optional<sip::SipUri>
 uriFromNameAddr(std::string_view value)
@@ -254,17 +257,6 @@ Engine::attachHopFeedback(sip::SipMessage &rsp, sim::SimTime now)
 }
 
 sim::Task
-Engine::throttledWait(sim::Process &p, sim::SimTime d)
-{
-    sim::SimTime deadline = p.sim().now() + d;
-    while (p.sim().now() < deadline) {
-        auto ev = p.sim().at(deadline, [&p] { p.wake(); });
-        co_await p.block("hop-throttled", sim::trace::Wait::Throttled);
-        ev.cancel();
-    }
-}
-
-sim::Task
 Engine::replyTo(sim::Process &p, const sip::SipMessage &req, int status,
                 MsgSource src, std::vector<SendAction> *out)
 {
@@ -399,9 +391,9 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
                 p.sim().now() + cfg_.overload.hop.holdMax;
             while (gate == HopThrottleTable::Gate::Busy
                    && p.sim().now() < give_up) {
-                co_await throttledWait(
-                    p, std::min(cfg_.overload.hop.holdTick,
-                                give_up - p.sim().now()));
+                co_await p.sleepFor(
+                    std::min(kHopHoldTick, give_up - p.sim().now()),
+                    "hop-throttled", sim::trace::Wait::Throttled);
                 gate = shared_.hopGate.tryAdmit(cfg_.nextHop,
                                                 p.sim().now());
             }

@@ -109,10 +109,6 @@ class Engine
      *  beyond the arena intern of the rendered value. */
     void attachHopFeedback(sip::SipMessage &rsp, sim::SimTime now);
 
-    /** Park this worker in the `throttled` trace wait state for @p d
-     *  (the hop gate's bounded hold before rejecting). */
-    sim::Task throttledWait(sim::Process &p, sim::SimTime d);
-
     /** Resolve a destination address to a TCP connection id (0 if none
      *  or not TCP). Takes and releases the connection-table lock. */
     sim::Task resolveConn(sim::Process &p, net::Addr dst,

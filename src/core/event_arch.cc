@@ -96,7 +96,7 @@ sim::Task
 EventArch::loopMain(sim::Process &p, int id)
 {
     Loop &l = *loops_[static_cast<std::size_t>(id)];
-    l.nextScan = p.sim().now() + cfg_.idleScanInterval;
+    l.nextScan = p.sim().now() + kIdleScanInterval;
     std::vector<sim::Pollable *> items;
     std::vector<std::uint64_t> item_conn; // 0 = listener slot
     std::vector<int> ready;
@@ -138,7 +138,7 @@ EventArch::loopMain(sim::Process &p, int id)
                     continue;
             }
         }
-        co_await sim::pollAll(p, items, timeout, ready);
+        co_await sim::poll(p, items, timeout, ready);
         if (stop_)
             break;
         co_await p.cpu(cfg_.costs.pollOverhead, ccPoll_);
@@ -156,7 +156,7 @@ EventArch::loopMain(sim::Process &p, int id)
         }
         if (p.sim().now() >= l.nextScan) {
             co_await loopIdleScan(p, l);
-            l.nextScan = p.sim().now() + cfg_.idleScanInterval;
+            l.nextScan = p.sim().now() + kIdleScanInterval;
         }
     }
 }
@@ -454,7 +454,7 @@ EventArch::loopMainDatagram(sim::Process &p, int id)
     std::vector<net::Datagram> batch;
     std::vector<net::OutDatagram> outbox;
     while (!stop_) {
-        co_await sim::pollAll(p, items, sim::kTimeNever, ready);
+        co_await sim::poll(p, items, sim::kTimeNever, ready);
         if (stop_)
             break;
         co_await p.cpu(cfg_.costs.pollOverhead, ccPoll_);

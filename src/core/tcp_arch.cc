@@ -10,6 +10,13 @@
 
 namespace siprox::core {
 
+namespace {
+
+/** Capacity of the shared worker->supervisor request channel. */
+constexpr std::size_t kRequestChannelCapacity = 512;
+
+} // namespace
+
 TcpArch::TcpArch(sim::Machine &machine, net::Host &host,
                  SharedState &shared, const ProxyConfig &cfg)
     : machine_(machine), host_(host), shared_(shared), cfg_(cfg),
@@ -31,8 +38,7 @@ TcpArch::start()
 {
     listener_ = &host_.tcpListen(cfg_.port);
     reqChan_ = std::make_unique<sim::Channel<ReqMsg>>(
-        static_cast<std::size_t>(cfg_.requestChannelCapacity),
-        "tcp_req");
+        kRequestChannelCapacity, "tcp_req");
     pendingDispatch_.resize(static_cast<std::size_t>(cfg_.workers));
     net::Addr addr = host_.addr(cfg_.port);
     for (int i = 0; i < cfg_.workers; ++i) {
@@ -103,9 +109,10 @@ sim::Task
 TcpArch::workerMain(sim::Process &p, int id)
 {
     Worker &w = *workers_[static_cast<std::size_t>(id)];
-    w.nextScan = p.sim().now() + cfg_.idleScanInterval;
+    w.nextScan = p.sim().now() + kIdleScanInterval;
     std::vector<sim::Pollable *> items;
     std::vector<std::uint64_t> item_conn;
+    std::vector<int> ready;
     while (!stop_) {
         shared_.overload.noteQueueDepth(requestQueueDepth());
         // While shedding, connections leave the poll set entirely: the
@@ -127,11 +134,12 @@ TcpArch::workerMain(sim::Process &p, int id)
             timeout = cfg_.overload.pauseSlice;
         if (timeout < 0)
             timeout = 0;
-        int idx = -1;
-        co_await sim::poll(p, items, timeout, idx);
+        co_await sim::poll(p, items, timeout, ready);
         if (stop_)
             break;
         co_await p.cpu(cfg_.costs.pollOverhead, ccPoll_);
+        // One item per wakeup: the first ready one in poll-set order.
+        const int idx = ready.empty() ? -1 : ready.front();
         if (idx == 0) {
             NewConnMsg msg;
             while (w.dispatch->tryRecv(msg))
@@ -144,7 +152,7 @@ TcpArch::workerMain(sim::Process &p, int id)
         }
         if (p.sim().now() >= w.nextScan) {
             co_await workerIdleScan(p, w);
-            w.nextScan = p.sim().now() + cfg_.idleScanInterval;
+            w.nextScan = p.sim().now() + kIdleScanInterval;
         }
     }
 }
@@ -484,9 +492,10 @@ TcpArch::workerIdleScan(sim::Process &p, Worker &w)
 sim::Task
 TcpArch::supervisorMain(sim::Process &p)
 {
-    sim::SimTime next_scan = p.sim().now() + cfg_.idleScanInterval;
+    sim::SimTime next_scan = p.sim().now() + kIdleScanInterval;
     std::vector<sim::Pollable *> items;
     std::vector<int> item_worker;
+    std::vector<int> ready;
     while (!stop_) {
         // While shedding, the listener leaves the poll set and the
         // accept drain below is skipped: the kernel accept queue fills
@@ -512,8 +521,7 @@ TcpArch::supervisorMain(sim::Process &p)
         sim::SimTime timeout = next_scan - p.sim().now();
         if (timeout < 0)
             timeout = 0;
-        int idx = -1;
-        co_await sim::poll(p, items, timeout, idx);
+        co_await sim::poll(p, items, timeout, ready);
         if (stop_)
             break;
         co_await p.cpu(cfg_.costs.pollOverhead, ccTcpMain_);
@@ -547,7 +555,7 @@ TcpArch::supervisorMain(sim::Process &p)
         }
         if (p.sim().now() >= next_scan) {
             co_await supervisorIdleScan(p);
-            next_scan = p.sim().now() + cfg_.idleScanInterval;
+            next_scan = p.sim().now() + kIdleScanInterval;
         }
     }
 }
@@ -739,7 +747,7 @@ TcpArch::supervisorIdleScan(sim::Process &p)
         }
         sim::SimTime expire =
             std::max(obj->lastUse + destroy_after,
-                     now + cfg_.idleScanInterval);
+                     now + kIdleScanInterval);
         co_await p.cpu(cfg_.costs.pqOp, ccScan_);
         pq.push(expire, id);
     }

@@ -57,9 +57,7 @@ sim::Task
 DatagramSocket::waitReadable(sim::Process &p)
 {
     while (queue_.empty()) {
-        waiters_.push_back(&p);
-        co_await p.block(recvBlockReason_, sim::trace::Wait::Socket);
-        waiters_.remove(&p);
+        co_await park(p, recvBlockReason_, sim::trace::Wait::Socket);
         consumeWakeCapacity();
     }
 }
@@ -143,14 +141,9 @@ DatagramSocket::enqueueDelivery(Datagram dgram)
     // block/wake round trip each) and keeps real batch depth shallow.
     // Only wake another receiver once the queue exceeds what the
     // in-flight wakes can drain.
-    if (!waiters_.empty() && wokenCapacity_ < queue_.size()) {
-        sim::Process *w = waiters_.front();
-        waiters_.pop_front();
-        w->wake();
+    if (notify(wokenCapacity_ < queue_.size() ? Wake::One : Wake::None))
         wokenCapacity_ +=
             static_cast<std::size_t>(std::max(cfg.batchMax, 1));
-    }
-    notifyPollWaiters();
     return true;
 }
 

@@ -165,7 +165,6 @@ class DatagramSocket : public sim::Pollable
     Host &host_;
     std::uint16_t port_;
     sim::Fifo<Datagram> queue_;
-    sim::Fifo<sim::Process *> waiters_;
     std::uint64_t overflowDrops_ = 0;
     std::size_t queuePeak_ = 0;
 

@@ -26,6 +26,8 @@ const sim::CostCenterId kTlsRecordCc =
 const sim::CostCenterId kTlsHandshakeCc =
     sim::CostCenters::id("tls:handshake");
 
+using Wake = sim::Pollable::Wake;
+
 } // namespace
 
 /**
@@ -100,15 +102,13 @@ struct TcpOps
                 // Sender learns of the reset immediately; the peer
                 // sees it one latency later.
                 ep->state_ = TcpState::Reset;
-                ep->wakeAllWaiters();
-                ep->notifyPollWaiters();
+                ep->notify(Wake::All);
                 net.sim().after(net.config().latency, [peer] {
                     if (peer->closed_
                         || peer->state_ != TcpState::Established)
                         return;
                     peer->state_ = TcpState::Reset;
-                    peer->wakeAllWaiters();
-                    peer->notifyPollWaiters();
+                    peer->notify(Wake::All);
                 });
                 co_return;
               }
@@ -132,8 +132,7 @@ struct TcpOps
                 return;
             peer->host_.noteReceived(d.size());
             peer->rxBuf_ += d;
-            peer->wakeOneWaiter();
-            peer->notifyPollWaiters();
+            peer->notify(Wake::One);
         });
     }
 
@@ -145,11 +144,8 @@ struct TcpOps
         if (!ep)
             co_return;
         while (ep->rxBuf_.empty() && !ep->peerClosed_ && !ep->closed_
-               && ep->state_ == TcpState::Established) {
-            ep->waiters_.push_back(&p);
-            co_await p.block("tcp recv", sim::trace::Wait::Socket);
-            ep->waiters_.remove(&p);
-        }
+               && ep->state_ == TcpState::Established)
+            co_await ep->park(p, "tcp recv", sim::trace::Wait::Socket);
         const NetConfig &cfg = ep->host_.net().config();
         if (ep->tlsPendingHandshake_ > 0) {
             // The accepting side runs its half of the TLS handshake
@@ -207,23 +203,6 @@ TcpEndpoint::TcpEndpoint(Host &host, Addr local, Addr remote,
 }
 
 void
-TcpEndpoint::wakeOneWaiter()
-{
-    if (!waiters_.empty()) {
-        sim::Process *w = waiters_.front();
-        waiters_.pop_front();
-        w->wake();
-    }
-}
-
-void
-TcpEndpoint::wakeAllWaiters()
-{
-    while (!waiters_.empty())
-        wakeOneWaiter();
-}
-
-void
 TcpEndpoint::closeHandle()
 {
     assert(openHandles_ > 0);
@@ -266,8 +245,7 @@ TcpEndpoint::closeHandle()
                 if (peer->closed_)
                     return;
                 peer->peerClosed_ = true;
-                peer->wakeAllWaiters();
-                peer->notifyPollWaiters();
+                peer->notify(Wake::All);
             });
         }
     }
@@ -346,11 +324,8 @@ TcpListener::~TcpListener() = default;
 sim::Task
 TcpListener::accept(sim::Process &p, TcpConn &out)
 {
-    while (acceptQ_.empty()) {
-        waiters_.push_back(&p);
-        co_await p.block("tcp accept", sim::trace::Wait::Socket);
-        waiters_.remove(&p);
-    }
+    while (acceptQ_.empty())
+        co_await park(p, "tcp accept", sim::trace::Wait::Socket);
     auto ep = std::move(acceptQ_.front());
     acceptQ_.pop_front();
     co_await p.cpu(host_.net().config().tcpAcceptCost,
@@ -425,8 +400,7 @@ Host::tcpConnect(sim::Process &p, Addr remote, TcpConn &out,
                 if (ep->closed_ || ep->state_ != TcpState::SynSent)
                     return;
                 ep->state_ = TcpState::Reset;
-                ep->wakeAllWaiters();
-                ep->notifyPollWaiters();
+                ep->notify(Wake::All);
             });
             return;
         }
@@ -439,27 +413,18 @@ Host::tcpConnect(sim::Process &p, Addr remote, TcpConn &out,
         dst->socketOpened();
         dst->adoptEndpoint(sep);
         listener->acceptQ_.push_back(std::move(sep));
-        if (!listener->waiters_.empty()) {
-            sim::Process *w = listener->waiters_.front();
-            listener->waiters_.pop_front();
-            w->wake();
-        }
-        listener->notifyPollWaiters();
+        listener->notify(Wake::One);
         // SYN/ACK completes the client side after another latency.
         net->sim().after(c.latency, [ep] {
             if (ep->closed_ || ep->state_ != TcpState::SynSent)
                 return;
             ep->state_ = TcpState::Established;
-            ep->wakeAllWaiters();
-            ep->notifyPollWaiters();
+            ep->notify(Wake::All);
         });
     });
 
-    while (ep->state_ == TcpState::SynSent) {
-        ep->waiters_.push_back(&p);
-        co_await p.block("tcp connect", sim::trace::Wait::Socket);
-        ep->waiters_.remove(&p);
-    }
+    while (ep->state_ == TcpState::SynSent)
+        co_await ep->park(p, "tcp connect", sim::trace::Wait::Socket);
     if (ep->state_ == TcpState::Reset) {
         handle.closeQuiet();
         throw NetError(NetErrc::ConnectionRefused, remote.toString());

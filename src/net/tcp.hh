@@ -82,9 +82,6 @@ class TcpEndpoint : public sim::Pollable,
     friend class TcpListener;
     friend struct TcpOps;
 
-    void wakeOneWaiter();
-    void wakeAllWaiters();
-
     /** Drop one handle; the last one runs the close protocol. */
     void closeHandle();
 
@@ -111,7 +108,6 @@ class TcpEndpoint : public sim::Pollable,
      *  handshake in this model. */
     sim::SimTime tlsPendingHandshake_ = 0;
     std::shared_ptr<TcpEndpoint> peer_;
-    sim::Fifo<sim::Process *> waiters_;
 };
 
 /**
@@ -236,7 +232,6 @@ class TcpListener : public sim::Pollable
     Host &host_;
     std::uint16_t port_;
     sim::Fifo<std::shared_ptr<TcpEndpoint>> acceptQ_;
-    sim::Fifo<sim::Process *> waiters_;
     std::uint64_t backlogRefused_ = 0;
 };
 

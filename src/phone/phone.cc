@@ -93,9 +93,8 @@ class Phone::Link
                 co_await p.sleepFor(budget);
                 co_return;
             }
-            int idx = -1;
-            co_await sim::poll(p, items, budget, idx);
-            if (idx < 0)
+            co_await sim::poll(p, items, budget, polled_);
+            if (polled_.empty())
                 co_return; // timeout
             co_await harvest(p);
         }
@@ -106,6 +105,14 @@ class Phone::Link
             sim::trace::log(p.sim().now(), cfg_.user + " <-",
                             std::string_view(*raw).substr(0, eol));
         }
+    }
+
+    /** False once a stream phone has lost every connection (the
+     *  proxy closed it idle, or a reset tore it down). */
+    bool
+    hasFlow() const
+    {
+        return dgram_ || active_ || !zombies_.empty();
     }
 
     /** TCP: abandon the current connection (left open; the server's
@@ -205,6 +212,8 @@ class Phone::Link
     std::unique_ptr<core::FramedConn> active_;
     std::vector<std::unique_ptr<core::FramedConn>> zombies_;
     sim::Fifo<std::string> ready_;
+    /** poll()'s ready set, kept so each poll reuses its storage. */
+    std::vector<int> polled_;
 };
 
 // ---------------------------------------------------------------------------
@@ -267,6 +276,20 @@ Phone::maybeCycle(sim::Process &p)
         || opsSinceConnect_ < cfg_.opsPerConn) {
         co_return;
     }
+    co_await reconnect(p);
+}
+
+sim::Task
+Phone::restoreFlow(sim::Process &p)
+{
+    co_await reconnect(p);
+    if (!link_->hasFlow())
+        co_await p.sleepFor(cfg_.responseTimeout);
+}
+
+sim::Task
+Phone::reconnect(sim::Process &p)
+{
     opsSinceConnect_ = 0;
     bool ok = false;
     co_await link_->cycle(p, &ok);
@@ -618,6 +641,11 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             raw = std::move(pendingRequests_.front());
             pendingRequests_.pop_front();
         } else {
+            if (timeout == sim::kTimeNever && !link_->hasFlow()) {
+                // A wait on no flow would return at once, forever.
+                co_await restoreFlow(p);
+                continue;
+            }
             co_await link_->recv(
                 p, &raw,
                 timeout == sim::kTimeNever

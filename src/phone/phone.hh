@@ -169,6 +169,14 @@ class Phone
     /** Reconnect if the per-connection op budget is exhausted. */
     sim::Task maybeCycle(sim::Process &p);
 
+    /** Open a fresh stream flow and register over it. */
+    sim::Task reconnect(sim::Process &p);
+
+    /** The proxy's idle close or a reset took the callee's only flow:
+     *  reconnect and re-register, backing off one response timeout if
+     *  the connect fails. */
+    sim::Task restoreFlow(sim::Process &p);
+
     sim::Machine &machine_;
     net::Host &host_;
     PhoneConfig cfg_;

@@ -10,7 +10,6 @@
 #ifndef SIPROX_SIM_CHANNEL_HH
 #define SIPROX_SIM_CHANNEL_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <string>
@@ -42,11 +41,8 @@ class Channel
     Task
     send(Process &p, T item)
     {
-        while (buf_.size() >= cap_) {
-            sendWaiters_.push_back(&p);
-            co_await p.block("chan send (full)", trace::Wait::Ipc);
-            removeWaiter(sendWaiters_, &p);
-        }
+        while (buf_.size() >= cap_)
+            co_await writable_.park(p, "chan send (full)", trace::Wait::Ipc);
         push(std::move(item));
     }
 
@@ -64,11 +60,8 @@ class Channel
     Task
     recv(Process &p, T &out)
     {
-        while (buf_.empty()) {
-            recvWaiters_.push_back(&p);
-            co_await p.block("chan recv (empty)", trace::Wait::Ipc);
-            removeWaiter(recvWaiters_, &p);
-        }
+        while (buf_.empty())
+            co_await readable_.park(p, "chan recv (empty)", trace::Wait::Ipc);
         out = std::move(buf_.front());
         pop();
     }
@@ -97,11 +90,15 @@ class Channel
     Pollable &writable() { return writable_; }
 
   private:
+    /** One end: senders park on the writable end, receivers on the
+     *  readable one, and each push/pop wakes one of them and every
+     *  poller of that end. */
     struct Readable : Pollable
     {
         explicit Readable(Channel &c) : chan(c) {}
         bool pollReady() const override { return !chan.buf_.empty(); }
-        void notify() { this->notifyPollWaiters(); }
+        using Pollable::notify;
+        using Pollable::park;
         Channel &chan;
     };
 
@@ -115,27 +112,15 @@ class Channel
             return chan.buf_.size() < chan.cap_;
         }
 
-        void notify() { this->notifyPollWaiters(); }
+        using Pollable::notify;
+        using Pollable::park;
         Channel &chan;
     };
-
-    static void
-    removeWaiter(std::deque<Process *> &q, Process *p)
-    {
-        auto it = std::find(q.begin(), q.end(), p);
-        if (it != q.end())
-            q.erase(it);
-    }
 
     void
     push(T item)
     {
         buf_.push_back(std::move(item));
-        if (!recvWaiters_.empty()) {
-            Process *w = recvWaiters_.front();
-            recvWaiters_.pop_front();
-            w->wake();
-        }
         readable_.notify();
     }
 
@@ -143,19 +128,12 @@ class Channel
     pop()
     {
         buf_.pop_front();
-        if (!sendWaiters_.empty()) {
-            Process *w = sendWaiters_.front();
-            sendWaiters_.pop_front();
-            w->wake();
-        }
         writable_.notify();
     }
 
     std::deque<T> buf_;
     std::size_t cap_;
     std::string name_;
-    std::deque<Process *> sendWaiters_;
-    std::deque<Process *> recvWaiters_;
     Readable readable_;
     Writable writable_;
 };

@@ -73,7 +73,7 @@ class Machine
 
     /**
      * Record one contended lock acquisition that waited @p waited
-     * before succeeding (SpinLock spins, SimMutex blocks). Always-on
+     * before succeeding (SpinLock's spin-then-yield). Always-on
      * machine counters so windowed telemetry can diff them without a
      * trace recorder attached.
      */

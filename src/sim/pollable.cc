@@ -6,39 +6,7 @@ namespace siprox::sim {
 
 Task
 poll(Process &self, const std::vector<Pollable *> &items, SimTime timeout,
-     int &ready_index)
-{
-    Simulation &sim = self.sim();
-    SimTime deadline =
-        timeout == kTimeNever ? kTimeNever : sim.now() + timeout;
-    for (;;) {
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (items[i]->pollReady()) {
-                ready_index = static_cast<int>(i);
-                co_return;
-            }
-        }
-        if (sim.now() >= deadline) {
-            ready_index = -1;
-            co_return;
-        }
-        for (Pollable *it : items)
-            it->addPollWaiter(&self);
-        EventHandle timer;
-        if (deadline != kTimeNever) {
-            Process *p = &self;
-            timer = sim.at(deadline, [p] { p->wake(); });
-        }
-        co_await self.block("poll", trace::Wait::Socket);
-        timer.cancel();
-        for (Pollable *it : items)
-            it->removePollWaiter(&self);
-    }
-}
-
-Task
-pollAll(Process &self, const std::vector<Pollable *> &items,
-        SimTime timeout, std::vector<int> &ready)
+     std::vector<int> &ready)
 {
     Simulation &sim = self.sim();
     SimTime deadline =
@@ -54,7 +22,7 @@ pollAll(Process &self, const std::vector<Pollable *> &items,
         if (sim.now() >= deadline)
             co_return;
         for (Pollable *it : items)
-            it->addPollWaiter(&self);
+            it->pollers().add(&self);
         EventHandle timer;
         if (deadline != kTimeNever) {
             Process *p = &self;
@@ -62,8 +30,10 @@ pollAll(Process &self, const std::vector<Pollable *> &items,
         }
         co_await self.block("poll", trace::Wait::Socket);
         timer.cancel();
+        // A notify pops its pollers; only the objects that did not
+        // fire still hold this process.
         for (Pollable *it : items)
-            it->removePollWaiter(&self);
+            it->pollers().remove(&self);
     }
 }
 

@@ -79,12 +79,12 @@ Process::wake()
 }
 
 Task
-Process::sleepFor(SimTime d)
+Process::sleepFor(SimTime d, const char *reason, trace::Wait cls)
 {
     SimTime deadline = sim().now() + d;
     while (sim().now() < deadline) {
         auto ev = sim().at(deadline, [this] { wake(); });
-        co_await block("sleep");
+        co_await block(reason, cls);
         ev.cancel();
     }
 }

@@ -105,8 +105,13 @@ class Process
      */
     YieldAwait yieldCpu() { return YieldAwait{*this}; }
 
-    /** Sleep for @p d of simulated time (no CPU consumed). */
-    Task sleepFor(SimTime d);
+    /**
+     * Sleep for @p d of simulated time (no CPU consumed). @p reason
+     * and @p cls label the wait as block() does (e.g. a forward held
+     * by hop-by-hop overload control sleeps as Wait::Throttled).
+     */
+    Task sleepFor(SimTime d, const char *reason = "sleep",
+                  trace::Wait cls = trace::Wait::Sleep);
 
     /**
      * Park until wake(). Callers must re-check their condition on

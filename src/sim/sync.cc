@@ -1,34 +1,10 @@
 #include "sim/sync.hh"
 
-#include <algorithm>
-
 #include "sim/machine.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
 
 namespace siprox::sim {
-
-namespace {
-
-void
-removeWaiter(std::deque<Process *> &q, Process *p)
-{
-    auto it = std::find(q.begin(), q.end(), p);
-    if (it != q.end())
-        q.erase(it);
-}
-
-void
-wakeOne(std::deque<Process *> &q)
-{
-    if (!q.empty()) {
-        Process *p = q.front();
-        q.pop_front();
-        p->wake();
-    }
-}
-
-} // namespace
 
 SpinLock::SpinLock(std::string name)
     : name_(std::move(name)),
@@ -83,67 +59,20 @@ SpinLock::release()
     }
 }
 
-Task
-SimMutex::acquire(Process &p)
-{
-    SimTime contend_start = -1;
-    while (held_) {
-        if (contend_start < 0)
-            contend_start = p.sim().now();
-        waiters_.push_back(&p);
-        co_await p.block("mutex", trace::Wait::LockBlock);
-        removeWaiter(waiters_, &p);
-    }
-    if (contend_start >= 0) {
-        p.machine().noteLockContention(p.sim().now() - contend_start);
-    }
-    held_ = true;
-}
-
-void
-SimMutex::release()
-{
-    held_ = false;
-    wakeOne(waiters_);
-}
-
-Task
-Semaphore::acquire(Process &p)
-{
-    while (count_ <= 0) {
-        waiters_.push_back(&p);
-        co_await p.block("semaphore", trace::Wait::LockBlock);
-        removeWaiter(waiters_, &p);
-    }
-    --count_;
-}
-
-void
-Semaphore::release()
-{
-    ++count_;
-    wakeOne(waiters_);
-}
-
 void
 Latch::arrive()
 {
     if (remaining_ > 0)
         --remaining_;
-    if (remaining_ == 0) {
-        while (!waiters_.empty())
-            wakeOne(waiters_);
-    }
+    if (remaining_ == 0)
+        waiting_.wakeAll();
 }
 
 Task
 Latch::wait(Process &p)
 {
-    while (remaining_ > 0) {
-        waiters_.push_back(&p);
-        co_await p.block("latch");
-        removeWaiter(waiters_, &p);
-    }
+    while (remaining_ > 0)
+        co_await waiting_.park(p, "latch");
 }
 
 } // namespace siprox::sim

@@ -5,17 +5,17 @@
  * SpinLock models the OpenSER/SER user-level lock: a failed try spins
  * briefly and calls sched_yield, so contention converts directly into
  * scheduler churn — the effect behind the paper's §5.2 kernel profiles.
- * SimMutex/Semaphore/Latch are conventional blocking primitives used
- * where the modeled software blocks in the kernel instead.
+ * Latch is a blocking countdown the workload driver uses to phase a
+ * run.
  */
 
 #ifndef SIPROX_SIM_SYNC_HH
 #define SIPROX_SIM_SYNC_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "sim/pollable.hh"
 #include "sim/process.hh"
 #include "sim/task.hh"
 
@@ -68,38 +68,6 @@ class SpinLock
  *  release pairs and keep critical sections small. */
 
 /**
- * FIFO blocking mutex (models sleeping kernel locks).
- */
-class SimMutex
-{
-  public:
-    Task acquire(Process &p);
-    void release();
-    bool held() const { return held_; }
-
-  private:
-    bool held_ = false;
-    std::deque<Process *> waiters_;
-};
-
-/**
- * Counting semaphore.
- */
-class Semaphore
-{
-  public:
-    explicit Semaphore(int count = 0) : count_(count) {}
-
-    Task acquire(Process &p);
-    void release();
-    int count() const { return count_; }
-
-  private:
-    int count_;
-    std::deque<Process *> waiters_;
-};
-
-/**
  * Single-use countdown latch; processes wait for N arrivals.
  */
 class Latch
@@ -117,7 +85,7 @@ class Latch
 
   private:
     int remaining_;
-    std::deque<Process *> waiters_;
+    WaitQueue waiting_;
 };
 
 } // namespace siprox::sim

@@ -76,6 +76,9 @@ enum class Wait : std::uint8_t
     Cpu,
     RunQueue,
     LockSpin,
+    /** Sleeping on a blocking lock. Nothing produces it today (the
+     *  only lock is the spinning SpinLock); kept so every artifact
+     *  lists the same, stable set of classes. */
     LockBlock,
     Ipc,
     Socket,

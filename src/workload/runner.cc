@@ -314,13 +314,11 @@ chainSupportError(const Scenario &sc)
     if (sc.chain.size() > 4)
         return "proxy chains support at most 4 hops (edge, up to two "
                "cores, destination)";
+    // Every hop speaks the scenario transport; per-hop architectures
+    // are free to vary.
     for (const auto &hop : sc.chain) {
-        core::Transport t = hop.transport.value_or(sc.proxy.transport);
-        if (t != sc.proxy.transport)
-            return "mixed-transport chains are not supported: every "
-                   "hop must speak the scenario transport (per-hop "
-                   "architectures are free to vary)";
-        if (const char *err = core::archSupportError(hop.arch, t))
+        if (const char *err =
+                core::archSupportError(hop.arch, sc.proxy.transport))
             return err;
     }
     if (sc.proxy.redirect)
@@ -358,8 +356,8 @@ clusterSupportError(const Scenario &sc)
         return "redirect mode hands the caller the contact directly, "
                "bypassing the dispatcher on the next request; run it "
                "single-proxy";
-    if (cl.dispatcherCores < 1 || cl.dispatcherWorkers < 1)
-        return "the dispatcher needs at least one core and one worker";
+    if (cl.dispatcherCores < 1)
+        return "the dispatcher needs at least one core";
     if (cl.vnodes < 1)
         return "the consistent-hash ring needs at least one virtual "
                "node per instance";

@@ -59,11 +59,6 @@ struct Partition
  */
 struct ChainHop
 {
-    /** Transport this hop speaks (unset: the scenario transport).
-     *  Mixed-transport chains are rejected by chainSupportError() —
-     *  the knob exists so the rejection is a named decision, not a
-     *  silent impossibility. */
-    std::optional<core::Transport> transport;
     /** Server architecture of this hop (free to vary per hop). */
     core::ArchKind arch = core::ArchKind::Auto;
     /** Worker override for this hop (0: the scenario's worker count). */
@@ -90,8 +85,6 @@ struct ClusterConfig
      *  the point of a cluster is that the front end does less work per
      *  message than a proxy). */
     int dispatcherCores = 2;
-    /** Receive loops on the dispatcher's shared UDP socket. */
-    int dispatcherWorkers = 8;
     /** Virtual nodes per instance on the consistent-hash ring. */
     int vnodes = 64;
     /** Delay before a binding written at its owner becomes visible in

@@ -36,8 +36,6 @@ Topology::Topology(sim::Simulation &simu, net::Network &network,
         if (!sc.chain.empty()) {
             const ChainHop &hop = sc.chain[i];
             cfg.arch = hop.arch;
-            if (hop.transport)
-                cfg.transport = *hop.transport;
             if (hop.workers > 0)
                 cfg.workers = hop.workers;
             if (hop.overloadPolicy)
@@ -112,7 +110,6 @@ Topology::buildCluster(sim::Simulation &simu, net::Network &network,
     dcfg.transport = sc.proxy.transport;
     dcfg.port = sc.proxy.port;
     dcfg.policy = sc.cluster.policy;
-    dcfg.workers = sc.cluster.dispatcherWorkers;
     dcfg.vnodes = sc.cluster.vnodes;
     dcfg.instances = member.peers;
     dcfg.costs = sc.proxy.costs;

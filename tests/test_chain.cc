@@ -380,13 +380,6 @@ TEST(ChainTopologyTest, ValidationNamesTheReason)
     EXPECT_NE(workload::chainSupportError(sc), nullptr);
 
     sc = chainScenario(core::Transport::Udp, 2);
-    sc.chain[1].transport = core::Transport::Tcp;
-    const char *err = workload::chainSupportError(sc);
-    ASSERT_NE(err, nullptr);
-    EXPECT_NE(std::string_view(err).find("mixed-transport"),
-              std::string_view::npos);
-
-    sc = chainScenario(core::Transport::Udp, 2);
     sc.chain[0].arch = core::ArchKind::SupervisorWorker; // UDP: invalid
     EXPECT_NE(workload::chainSupportError(sc), nullptr);
 
@@ -406,7 +399,7 @@ TEST(ChainTopologyTest, ValidationNamesTheReason)
 
     // runScenario refuses invalid topologies loudly.
     sc = chainScenario(core::Transport::Udp, 2);
-    sc.chain[1].transport = core::Transport::Sctp;
+    sc.chain[1].arch = core::ArchKind::SupervisorWorker;
     EXPECT_THROW(workload::runScenario(sc), std::invalid_argument);
 }
 

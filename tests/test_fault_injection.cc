@@ -587,4 +587,48 @@ TEST(FaultDeterminismTest, DifferentSeedsDiverge)
     EXPECT_NE(a.digest(), b.digest());
 }
 
+// --- A callee whose only flow the proxy closes ------------------------------
+
+/**
+ * Resets and a 200 ms proxy idle timeout take callees' connections
+ * away between calls. A callee left with no flow must reconnect and
+ * re-register instead of spinning on a wait that returns at once
+ * (which used to stall the run at t=0.41 s under the supervisor).
+ */
+workload::Scenario
+lostFlowScenario(core::ArchKind arch)
+{
+    workload::Scenario sc =
+        workload::paperScenario(core::Transport::Tcp, 10, 5);
+    sc.callsPerClient = 5;
+    sc.seed = 22;
+    workload::LinkFault lf;
+    lf.imp.rstProb = 0.002;
+    sc.linkFaults.push_back(lf);
+    sc.proxy.idleTimeout = msecs(200);
+    sc.proxy.arch = arch;
+    return sc;
+}
+
+void
+expectFinishes(const workload::RunResult &r)
+{
+    EXPECT_FALSE(r.timedOut);
+    EXPECT_EQ(r.callsCompleted + r.callsFailed, 50u);
+    EXPECT_GT(r.callsCompleted, 0u);
+    EXPECT_GT(r.net.tcpRstInjected, 0u);
+}
+
+TEST(LostFlowTest, SupervisorCalleeReconnectsAfterIdleClose)
+{
+    expectFinishes(runScenario(
+        lostFlowScenario(core::ArchKind::SupervisorWorker)));
+}
+
+TEST(LostFlowTest, EventCalleeReconnectsAfterIdleClose)
+{
+    expectFinishes(
+        runScenario(lostFlowScenario(core::ArchKind::EventDriven)));
+}
+
 } // namespace

@@ -113,9 +113,10 @@ pollTwo(Process &p, Channel<int> *a, Channel<int> *b,
         std::vector<int> *which, int rounds)
 {
     std::vector<Pollable *> items{&a->readable(), &b->readable()};
+    std::vector<int> ready;
     for (int i = 0; i < rounds; ++i) {
-        int idx = -2;
-        co_await poll(p, items, kTimeNever, idx);
+        co_await poll(p, items, kTimeNever, ready);
+        const int idx = ready.empty() ? -1 : ready.front();
         which->push_back(idx);
         int v = 0;
         if (idx == 0)
@@ -160,7 +161,9 @@ pollWithTimeout(Process &p, Channel<int> *ch, SimTime timeout, int *idx,
                 SimTime *when)
 {
     std::vector<Pollable *> items{&ch->readable()};
-    co_await poll(p, items, timeout, *idx);
+    std::vector<int> ready;
+    co_await poll(p, items, timeout, ready);
+    *idx = ready.empty() ? -1 : ready.front();
     *when = p.sim().now();
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for spinlocks, mutexes, semaphores, and latches, including the
+ * Tests for spinlocks, latches and the wait protocol under every
+ * blocking object (WaitQueue, Pollable, poll), including the
  * spin-then-yield contention behaviour (scheduler churn) that drives
  * the paper's §5.2 profile observations.
  */
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/pollable.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 
@@ -84,88 +86,210 @@ TEST(SpinLockTest, ContentionBurnsCpuInSpinAndSchedule)
     EXPECT_GT(m.profiler().at("user:spinlock"), usecs(500));
 }
 
-Task
-mutexWorker(Process &p, SimMutex *mu, SimTime hold, int *active,
-            int *max_active, int *count)
-{
-    co_await mu->acquire(p);
-    ++*active;
-    *max_active = std::max(*max_active, *active);
-    co_await p.cpu(hold, CostCenters::id("test:critical"));
-    --*active;
-    ++*count;
-    mu->release();
-}
+// --- the wait protocol ------------------------------------------------
 
-TEST(SimMutexTest, SerializesCriticalSections)
+/** A pollable flag the tests set and notify directly. */
+struct Flag : Pollable
 {
-    Simulation sim;
-    auto &m = sim.addMachine("m", 4, noCtxConfig());
-    SimMutex mu;
-    int active = 0, max_active = 0, count = 0;
-    for (int i = 0; i < 10; ++i) {
-        m.spawn("p" + std::to_string(i), 0, [&](Process &p) {
-            return mutexWorker(p, &mu, usecs(10), &active, &max_active,
-                               &count);
-        });
-    }
-    sim.run();
-    EXPECT_EQ(count, 10);
-    EXPECT_EQ(max_active, 1);
-    // Blocked waiters consume no CPU: total time ~= serialized holds.
-    EXPECT_EQ(sim.now(), usecs(100));
-}
+    bool ready = false;
+    bool pollReady() const override { return ready; }
+    using Pollable::notify;
+};
 
 Task
-semWorker(Process &p, Semaphore *sem, int *got)
+parkOnce(Process &p, WaitQueue *q, int id, std::vector<int> *order)
 {
-    co_await sem->acquire(p);
-    ++*got;
-    co_return;
+    co_await q->park(p, "test");
+    order->push_back(id);
 }
 
-Task
-semReleaser(Process &p, Semaphore *sem, int n)
+/** Spawn @p n processes that each park once on @p q, in id order. */
+void
+spawnParkers(Machine &m, WaitQueue &q, int n, std::vector<int> &order)
 {
     for (int i = 0; i < n; ++i) {
-        co_await p.sleepFor(usecs(10));
-        sem->release();
-    }
-}
-
-TEST(SemaphoreTest, AcquireWaitsForRelease)
-{
-    Simulation sim;
-    auto &m = sim.addMachine("m", 1, noCtxConfig());
-    Semaphore sem(0);
-    int got = 0;
-    for (int i = 0; i < 3; ++i) {
-        m.spawn("w" + std::to_string(i), 0, [&](Process &p) {
-            return semWorker(p, &sem, &got);
+        m.spawn("w" + std::to_string(i), 0, [&q, &order, i](Process &p) {
+            return parkOnce(p, &q, i, &order);
         });
     }
-    m.spawn("r", 0,
-            [&](Process &p) { return semReleaser(p, &sem, 3); });
-    sim.runUntil(usecs(15));
-    EXPECT_EQ(got, 1);
-    sim.run();
-    EXPECT_EQ(got, 3);
-    EXPECT_EQ(sem.count(), 0);
 }
 
-TEST(SemaphoreTest, InitialCountAdmitsImmediately)
+TEST(WaitQueueTest, ParkedProcessesWakeInFifoOrder)
 {
     Simulation sim;
     auto &m = sim.addMachine("m", 1, noCtxConfig());
-    Semaphore sem(2);
-    int got = 0;
+    WaitQueue q;
+    std::vector<int> order;
+    spawnParkers(m, q, 4, order);
+    for (int i = 1; i <= 4; ++i)
+        sim.at(usecs(10 * i), [&q] { q.wakeOne(); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(WaitQueueTest, WakeOneWakesExactlyOneAndWakeAllTheRest)
+{
+    Simulation sim;
+    auto &m = sim.addMachine("m", 1, noCtxConfig());
+    WaitQueue q;
+    std::vector<int> order;
+    spawnParkers(m, q, 4, order);
+    sim.at(usecs(10), [&q] { EXPECT_TRUE(q.wakeOne()); });
+    sim.runUntil(usecs(20));
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_FALSE(q.empty());
+    sim.at(usecs(30), [&q] { q.wakeAll(); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.wakeOne());
+    EXPECT_FALSE(sim.hasLiveProcesses());
+}
+
+Task
+parkTwice(Process &p, WaitQueue *q, int id, std::vector<int> *order)
+{
     for (int i = 0; i < 2; ++i) {
-        m.spawn("w" + std::to_string(i), 0, [&](Process &p) {
-            return semWorker(p, &sem, &got);
+        co_await q->park(p, "test");
+        order->push_back(id);
+    }
+}
+
+TEST(WaitQueueTest, WokenThenReparkedGoesToTheTail)
+{
+    Simulation sim;
+    auto &m = sim.addMachine("m", 1, noCtxConfig());
+    WaitQueue q;
+    std::vector<int> order;
+    for (int i = 0; i < 2; ++i) {
+        m.spawn("w" + std::to_string(i), 0, [&, i](Process &p) {
+            return parkTwice(p, &q, i, &order);
         });
     }
+    for (int i = 1; i <= 4; ++i)
+        sim.at(usecs(10 * i), [&q] { q.wakeOne(); });
     sim.run();
-    EXPECT_EQ(got, 2);
+    // 0 wakes first and re-parks behind 1.
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1}));
+    EXPECT_TRUE(q.empty());
+}
+
+/** Poll @p items once, then park on @p after until woken; records
+ *  what the poll returned and whether anything woke the park. */
+Task
+pollThenPark(Process &p, std::vector<Pollable *> *items, SimTime timeout,
+             std::vector<int> *ready, SimTime *polled_at, WaitQueue *after,
+             bool *woke_after)
+{
+    co_await poll(p, *items, timeout, *ready);
+    *polled_at = p.sim().now();
+    co_await after->park(p, "after poll");
+    *woke_after = true;
+}
+
+/**
+ * One poller on flags a and b. At 10 us a fires, and b too if @p both;
+ * the poll must return once with the ready set, leave both pollers
+ * lists, and let no later notify of either disturb the poller.
+ */
+void
+pollTwoFlags(bool both)
+{
+    Simulation sim;
+    auto &m = sim.addMachine("m", 1, noCtxConfig());
+    Flag a, b;
+    std::vector<Pollable *> items{&a, &b};
+    std::vector<int> ready;
+    SimTime polled_at = -1;
+    WaitQueue after;
+    bool woke_after = false;
+    m.spawn("poller", 0, [&](Process &p) {
+        return pollThenPark(p, &items, kTimeNever, &ready, &polled_at,
+                            &after, &woke_after);
+    });
+    sim.at(usecs(10), [&] {
+        a.ready = true;
+        a.notify();
+        // The notify popped the poller off a; b still holds it.
+        EXPECT_TRUE(a.pollers().empty());
+        EXPECT_FALSE(b.pollers().empty());
+        if (both) {
+            b.ready = true;
+            b.notify();
+        }
+    });
+    sim.runUntil(usecs(15));
+    EXPECT_EQ(polled_at, usecs(10));
+    const std::vector<int> want =
+        both ? std::vector<int>{0, 1} : std::vector<int>{0};
+    EXPECT_EQ(ready, want);
+    EXPECT_TRUE(a.pollers().empty());
+    EXPECT_TRUE(b.pollers().empty());
+    sim.at(usecs(20), [&] {
+        a.notify();
+        b.notify();
+    });
+    sim.run();
+    EXPECT_FALSE(woke_after);
+    after.wakeOne();
+    sim.run();
+    EXPECT_TRUE(woke_after);
+}
+
+TEST(WaitQueueTest, PollerLeavesTheObjectThatDidNotFire)
+{
+    pollTwoFlags(false);
+}
+
+TEST(WaitQueueTest, PollerOnTwoObjectsFiringTogetherWakesOnce)
+{
+    pollTwoFlags(true);
+}
+
+TEST(WaitQueueTest, ParkLeavesTheQueueWhenWokenElsewhere)
+{
+    Simulation sim;
+    auto &m = sim.addMachine("m", 1, noCtxConfig());
+    WaitQueue q;
+    std::vector<int> order;
+    Process &w = m.spawn("w", 0, [&](Process &p) {
+        return parkOnce(p, &q, 7, &order);
+    });
+    sim.runUntil(usecs(5));
+    EXPECT_FALSE(q.empty());
+    // A timer or any other waker, not the queue's own wake.
+    sim.at(usecs(10), [&w] { w.wake(); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{7}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(WaitQueueTest, TimeoutAndNotifyAtTheSameInstantWakeOnce)
+{
+    Simulation sim;
+    auto &m = sim.addMachine("m", 1, noCtxConfig());
+    Flag f;
+    std::vector<Pollable *> items{&f};
+    std::vector<int> ready;
+    SimTime polled_at = -1;
+    WaitQueue after;
+    bool woke_after = false;
+    m.spawn("poller", 0, [&](Process &p) {
+        return pollThenPark(p, &items, usecs(10), &ready, &polled_at,
+                            &after, &woke_after);
+    });
+    // The poll's own timer is due at 10 us as well.
+    sim.at(usecs(10), [&] {
+        f.ready = true;
+        f.notify();
+    });
+    sim.run();
+    EXPECT_EQ(polled_at, usecs(10));
+    EXPECT_EQ(ready, (std::vector<int>{0}));
+    EXPECT_TRUE(f.pollers().empty());
+    EXPECT_FALSE(woke_after);
+    EXPECT_TRUE(sim.hasLiveProcesses());
 }
 
 Task

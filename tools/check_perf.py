@@ -12,11 +12,21 @@ slower of the two puts it, plus headroom.
 
 Fails (exit 1) when a micro regresses by more than REGRESSION_SLACK
 (10%) over its reference:
-  - ns_per_op: wall-clock per operation (noisy on shared runners, so
-    the 10% rides on top of the slower of the two recorded numbers)
+  - ns_per_op_min: the fastest of the harness's repeated trials of a
+    micro (a single wall-clock shot failed this gate on unchanged code;
+    the minimum of several does not swing with a busy neighbour). The
+    10% rides on top of the slower of the two recorded minimums; a
+    section recorded before trials existed contributes its single-shot
+    ns_per_op instead.
   - allocs_per_op: allocation count (deterministic, counted by the
     harness's interposed operator new; an extra +0.5 absolute slack
     absorbs amortized-growth rounding)
+
+Also gates each sweep against the checked-in "current" sweep of the
+same name (the baseline's pre-rework counts would make no gate):
+  - events: simulated events, a function of simulated behaviour only,
+    so it must equal the reference exactly
+  - allocs_per_op: the same 10% + 0.5 budget as the micros
 
 Also gates peak RSS: the harness records getrusage peak_rss_kb per
 section, and the fresh run's footprint may not exceed the slower of
@@ -59,6 +69,16 @@ def micros(doc, section):
     return doc.get(section, {}).get("micros", {})
 
 
+def sweeps(doc, section):
+    return doc.get(section, {}).get("sweeps", {})
+
+
+def min_ns(m):
+    """Fastest trial of a micro; older single-shot records have only
+    ns_per_op."""
+    return m.get("ns_per_op_min", m.get("ns_per_op"))
+
+
 def main():
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -78,29 +98,47 @@ def main():
           f"{'delta':>8s} {'allowed':>10s}  verdict")
     failures = []
 
-    def row(metric, ref, got, allowed):
-        verdict = "ok" if got <= allowed else "REGRESSION"
+    def row(metric, ref, got, allowed, exact=False):
+        ok = got == allowed if exact else got <= allowed
+        verdict = "ok" if ok else ("MISMATCH" if exact else "REGRESSION")
         delta = (got - ref) / ref if ref > 0.0 else 0.0
         print(f"  {metric:38s} {ref:10.1f} {got:10.1f} "
               f"{delta:+8.1%} {allowed:10.1f}  {verdict}")
-        if verdict == "REGRESSION":
+        if not ok:
             failures.append(
-                f"{metric}: {got:.1f} > allowed {allowed:.1f} "
-                f"(ref {ref:.1f} {delta:+.1%})")
+                f"{metric}: {got:.1f} {'!=' if exact else '>'} allowed "
+                f"{allowed:.1f} (ref {ref:.1f} {delta:+.1%})")
 
     for name, m in sorted(measured.items()):
         refs = [r[name] for r in (ref_base, ref_cur) if name in r]
         if not refs:
             print(f"  {name:38s} new micro, no reference — skipped")
             continue
-        for key, abs_slack in (("ns_per_op", 0.0),
-                               ("allocs_per_op", ALLOC_ABS_SLACK)):
-            got = m.get(key)
-            ref = max((r.get(key, 0.0) for r in refs), default=0.0)
+        for key, get, abs_slack in (
+                ("ns_per_op_min", min_ns, 0.0),
+                ("allocs_per_op", lambda r: r.get("allocs_per_op"),
+                 ALLOC_ABS_SLACK)):
+            got = get(m)
+            ref = max((get(r) or 0.0 for r in refs), default=0.0)
             if got is None or ref <= 0.0:
                 continue
             row(f"{name}.{key}", ref, got,
                 ref * (1.0 + REGRESSION_SLACK) + abs_slack)
+
+    ref_sweeps = sweeps(checked, "current")
+    for name, s in sorted(sweeps(fresh, "current").items()):
+        ref = ref_sweeps.get(name)
+        if ref is None:
+            print(f"  {name:38s} new sweep, no reference — skipped")
+            continue
+        if "events" in s and "events" in ref:
+            ref_ev = float(ref["events"])
+            row(f"{name}.events", ref_ev, float(s["events"]), ref_ev,
+                exact=True)
+        if "allocs_per_op" in s and ref.get("allocs_per_op", 0.0) > 0.0:
+            ref_al = ref["allocs_per_op"]
+            row(f"{name}.allocs_per_op", ref_al, s["allocs_per_op"],
+                ref_al * (1.0 + REGRESSION_SLACK) + ALLOC_ABS_SLACK)
 
     got_rss = fresh.get("current", {}).get("peak_rss_kb")
     ref_rss = max(
@@ -125,11 +163,11 @@ def main():
 
     if failures:
         print(f"\ncheck_perf: {len(failures)} regression(s) over "
-              f"{REGRESSION_SLACK:.0%} budget:", file=sys.stderr)
+              f"budget:", file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         sys.exit(1)
-    print("check_perf: all micros within budget")
+    print("check_perf: all micros and sweeps within budget")
 
 
 if __name__ == "__main__":
