@@ -1067,6 +1067,725 @@ TEST(DigestGolden, ClusterTcpSeed53)
     EXPECT_GT(r.dispatcherStats.clientConnsAccepted, 0u);
 }
 
+// --- reply- and route-path pins -----------------------------------------
+// Recorded before the engine's locally generated responses were folded
+// into one reply path and the Via/name-addr decoders, stream connects
+// and dispatcher routing were given one home each. Each case drives one
+// reply or route path the pins above never reach (the 401 challenge,
+// the 302 redirect, both 503 rejects, the Timer B 408, the event loops'
+// outbound connect, both dispatcher relays); the reply-path counters the
+// digest leaves out are pinned beside it.
+
+const char kUdpAuthSeed59[] =
+    "ops=160\n"
+    "callsCompleted=80\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=5367044\n"
+    "inviteP50=524287\n"
+    "inviteP99=720895\n"
+    "timedOut=0\n"
+    "messagesIn=544\n"
+    "requestsIn=304\n"
+    "responsesIn=240\n"
+    "forwards=480\n"
+    "localReplies=144\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=32\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=1168\n"
+    "udpDelivered=1168\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=320\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kUdpRedirectSeed61[] =
+    "ops=160\n"
+    "callsCompleted=80\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=2720574\n"
+    "inviteP50=360447\n"
+    "inviteP99=475135\n"
+    "timedOut=0\n"
+    "messagesIn=112\n"
+    "requestsIn=112\n"
+    "responsesIn=0\n"
+    "forwards=0\n"
+    "localReplies=192\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=32\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=784\n"
+    "udpDelivered=784\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kUdpThresholdRejectSeed67[] =
+    "ops=1200\n"
+    "callsCompleted=600\n"
+    "callsFailed=300\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=2077297528\n"
+    "inviteP50=104857599\n"
+    "inviteP99=268435455\n"
+    "timedOut=0\n"
+    "messagesIn=4500\n"
+    "requestsIn=2700\n"
+    "responsesIn=1800\n"
+    "forwards=3600\n"
+    "localReplies=1500\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=600\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=300\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=1\n"
+    "overloadShedExits=1\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=300\n"
+    "phoneBackoffs=300\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=9600\n"
+    "udpDelivered=9600\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=686\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n";
+
+const char kChain3UdpWindowSeed71[] =
+    "ops=246\n"
+    "callsCompleted=123\n"
+    "callsFailed=57\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=1493919380\n"
+    "inviteP50=786431\n"
+    "inviteP99=917503\n"
+    "timedOut=0\n"
+    "messagesIn=2637\n"
+    "requestsIn=1284\n"
+    "responsesIn=1353\n"
+    "forwards=2214\n"
+    "localReplies=546\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=120\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=57\n"
+    "phoneBackoffs=57\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=3675\n"
+    "udpDelivered=3675\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=1368\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "hopFeedbackSent=1653\n"
+    "hopFeedbackApplied=984\n"
+    "hopThrottleHolds=0\n"
+    "hopThrottleRejects=57\n"
+    "hopThrottleDrops=0\n"
+    "hopGrantExpired=0\n"
+    "chainHops=3\n"
+    "hop0.messagesIn=978\n"
+    "hop0.forwards=738\n"
+    "hop0.localReplies=240\n"
+    "hop0.retransAbsorbed=0\n"
+    "hop0.timerB408s=0\n"
+    "hop0.overloadRejected=0\n"
+    "hop0.overloadThrottled=0\n"
+    "hop0.overloadPanicDrops=0\n"
+    "hop0.hopFeedbackSent=609\n"
+    "hop0.hopFeedbackApplied=492\n"
+    "hop0.hopThrottleHolds=0\n"
+    "hop0.hopThrottleRejects=57\n"
+    "hop0.hopThrottleDrops=0\n"
+    "hop0.hopGrantExpired=0\n"
+    "hop1.messagesIn=861\n"
+    "hop1.forwards=738\n"
+    "hop1.localReplies=123\n"
+    "hop1.retransAbsorbed=0\n"
+    "hop1.timerB408s=0\n"
+    "hop1.overloadRejected=0\n"
+    "hop1.overloadThrottled=0\n"
+    "hop1.overloadPanicDrops=0\n"
+    "hop1.hopFeedbackSent=492\n"
+    "hop1.hopFeedbackApplied=492\n"
+    "hop1.hopThrottleHolds=0\n"
+    "hop1.hopThrottleRejects=0\n"
+    "hop1.hopThrottleDrops=0\n"
+    "hop1.hopGrantExpired=0\n"
+    "hop2.messagesIn=798\n"
+    "hop2.forwards=738\n"
+    "hop2.localReplies=183\n"
+    "hop2.retransAbsorbed=0\n"
+    "hop2.timerB408s=0\n"
+    "hop2.overloadRejected=0\n"
+    "hop2.overloadThrottled=0\n"
+    "hop2.overloadPanicDrops=0\n"
+    "hop2.hopFeedbackSent=552\n"
+    "hop2.hopFeedbackApplied=0\n"
+    "hop2.hopThrottleHolds=0\n"
+    "hop2.hopThrottleRejects=0\n"
+    "hop2.hopThrottleDrops=0\n"
+    "hop2.hopGrantExpired=0\n";
+
+const char kUdpLossTimerBSeed73[] =
+    "ops=73\n"
+    "callsCompleted=35\n"
+    "callsFailed=5\n"
+    "phoneRetransmissions=52\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=19301380370\n"
+    "inviteP50=393215\n"
+    "inviteP99=2147483647\n"
+    "timedOut=0\n"
+    "messagesIn=309\n"
+    "requestsIn=176\n"
+    "responsesIn=133\n"
+    "forwards=252\n"
+    "localReplies=81\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=18\n"
+    "retransSent=25\n"
+    "retransTimeouts=1\n"
+    "timerB408s=1\n"
+    "registrations=39\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=681\n"
+    "udpDelivered=589\n"
+    "udpLost=92\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=92\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=0\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "1>2 120 0 0 0 0 0 0 0 0 0 0\n"
+    "1>3 132 92 0 0 0 0 0 0 0 0 0\n"
+    "1>4 120 0 0 0 0 0 0 0 0 0 0\n"
+    "2>1 104 0 0 0 0 0 0 0 0 0 0\n"
+    "3>1 101 0 0 0 0 0 0 0 0 0 0\n"
+    "4>1 104 0 0 0 0 0 0 0 0 0 0\n";
+
+const char kClusterEventTcpRrSeed79[] =
+    "ops=128\n"
+    "callsCompleted=64\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=10354068\n"
+    "inviteP50=1310719\n"
+    "inviteP99=1900543\n"
+    "timedOut=0\n"
+    "messagesIn=647\n"
+    "requestsIn=320\n"
+    "responsesIn=327\n"
+    "forwards=615\n"
+    "localReplies=129\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=32\n"
+    "connsAccepted=4\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=2\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=32\n"
+    "udpDelivered=32\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=36\n"
+    "tcpRefused=0\n"
+    "tcpSegments=2089\n"
+    "tcpBytes=653070\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=394\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=6\n"
+    "clusterInstances=2\n"
+    "dispMessagesIn=929\n"
+    "dispRequestsRouted=416\n"
+    "dispResponsesRouted=513\n"
+    "dispRegistersRouted=32\n"
+    "dispPeekFailures=0\n"
+    "dispDropsNoRoute=0\n"
+    "dispClientConnsAccepted=32\n"
+    "locLocalHits=192\n"
+    "locReplicaHits=0\n"
+    "locMissForwards=96\n"
+    "locRegisterForwards=0\n"
+    "locReplPushes=32\n"
+    "locReplInstalls=32\n"
+    "inst0.messagesIn=319\n"
+    "inst0.forwards=305\n"
+    "inst0.localReplies=64\n"
+    "inst0.registrations=14\n"
+    "inst0.locLocalHits=108\n"
+    "inst0.locReplicaHits=0\n"
+    "inst0.locMissForwards=42\n"
+    "inst0.locReplPushes=14\n"
+    "inst0.locReplInstalls=18\n"
+    "inst0.dispatched=110\n"
+    "inst1.messagesIn=328\n"
+    "inst1.forwards=310\n"
+    "inst1.localReplies=65\n"
+    "inst1.registrations=18\n"
+    "inst1.locLocalHits=84\n"
+    "inst1.locReplicaHits=0\n"
+    "inst1.locMissForwards=54\n"
+    "inst1.locReplPushes=18\n"
+    "inst1.locReplInstalls=14\n"
+    "inst1.dispatched=114\n";
+
+const char kClusterUdpRrSeed83[] =
+    "ops=128\n"
+    "callsCompleted=64\n"
+    "callsFailed=0\n"
+    "phoneRetransmissions=0\n"
+    "reconnects=0\n"
+    "reconnectFailures=0\n"
+    "duration=6458416\n"
+    "inviteP50=851967\n"
+    "inviteP99=1048575\n"
+    "timedOut=0\n"
+    "messagesIn=703\n"
+    "requestsIn=340\n"
+    "responsesIn=363\n"
+    "forwards=671\n"
+    "localReplies=139\n"
+    "parseErrors=0\n"
+    "routeFailures=0\n"
+    "retransAbsorbed=0\n"
+    "retransSent=0\n"
+    "retransTimeouts=0\n"
+    "timerB408s=0\n"
+    "registrations=32\n"
+    "connsAccepted=0\n"
+    "connsDestroyed=0\n"
+    "outboundConnects=0\n"
+    "overloadRejected=0\n"
+    "overloadThrottled=0\n"
+    "overloadPanicDrops=0\n"
+    "overloadShedEnters=0\n"
+    "overloadShedExits=0\n"
+    "tcpReadPauses=0\n"
+    "tcpReadResumes=0\n"
+    "tcpAcceptPauses=0\n"
+    "phoneRejected503=0\n"
+    "phoneBackoffs=0\n"
+    "proxyRecvQueueDrops=0\n"
+    "proxyAcceptRefused=0\n"
+    "occupancySamples=0\n"
+    "udpSent=1813\n"
+    "udpDelivered=1813\n"
+    "udpLost=0\n"
+    "udpDropped=0\n"
+    "tcpConnects=0\n"
+    "tcpRefused=0\n"
+    "tcpSegments=0\n"
+    "tcpBytes=0\n"
+    "sctpMessages=0\n"
+    "sctpDropped=0\n"
+    "sctpAssocs=0\n"
+    "faultDropped=0\n"
+    "faultDuplicated=0\n"
+    "faultDelayed=0\n"
+    "tcpFaultRefused=0\n"
+    "tcpRstInjected=0\n"
+    "tcpBlackholed=0\n"
+    "tcpRecoveries=0\n"
+    "txnEntriesAtEnd=426\n"
+    "retransEntriesAtEnd=0\n"
+    "connEntriesAtEnd=0\n"
+    "clusterInstances=2\n"
+    "dispMessagesIn=555\n"
+    "dispRequestsRouted=224\n"
+    "dispResponsesRouted=331\n"
+    "dispRegistersRouted=32\n"
+    "dispPeekFailures=0\n"
+    "dispDropsNoRoute=0\n"
+    "dispClientConnsAccepted=0\n"
+    "locLocalHits=192\n"
+    "locReplicaHits=0\n"
+    "locMissForwards=116\n"
+    "locRegisterForwards=0\n"
+    "locReplPushes=32\n"
+    "locReplInstalls=32\n"
+    "inst0.messagesIn=349\n"
+    "inst0.forwards=335\n"
+    "inst0.localReplies=69\n"
+    "inst0.registrations=14\n"
+    "inst0.locLocalHits=108\n"
+    "inst0.locReplicaHits=0\n"
+    "inst0.locMissForwards=52\n"
+    "inst0.locReplPushes=14\n"
+    "inst0.locReplInstalls=18\n"
+    "inst0.dispatched=110\n"
+    "inst1.messagesIn=354\n"
+    "inst1.forwards=336\n"
+    "inst1.localReplies=70\n"
+    "inst1.registrations=18\n"
+    "inst1.locLocalHits=84\n"
+    "inst1.locReplicaHits=0\n"
+    "inst1.locMissForwards=64\n"
+    "inst1.locReplPushes=18\n"
+    "inst1.locReplInstalls=14\n"
+    "inst1.dispatched=114\n";
+
+/** Reply-path counters that are not part of the digest. */
+struct ReplyPathCounters
+{
+    std::uint64_t authChallenges;
+    std::uint64_t authAccepted;
+    std::uint64_t redirects;
+    std::uint64_t sendsToDeadConns;
+    std::uint64_t fdRequests;
+    std::uint64_t fdCacheHits;
+    std::uint64_t connsStolen;
+    std::uint64_t idleScans;
+};
+
+void
+expectReplyPath(const RunResult &r, const ReplyPathCounters &want)
+{
+    EXPECT_EQ(r.counters.authChallenges, want.authChallenges);
+    EXPECT_EQ(r.counters.authAccepted, want.authAccepted);
+    EXPECT_EQ(r.counters.redirects, want.redirects);
+    EXPECT_EQ(r.counters.sendsToDeadConns, want.sendsToDeadConns);
+    EXPECT_EQ(r.counters.fdRequests, want.fdRequests);
+    EXPECT_EQ(r.counters.fdCacheHits, want.fdCacheHits);
+    EXPECT_EQ(r.counters.connsStolen, want.connsStolen);
+    EXPECT_EQ(r.counters.idleScans, want.idleScans);
+    EXPECT_FALSE(r.timedOut);
+}
+
+/** A small two-instance cluster behind a round-robin dispatcher, so
+ *  about half the requests land on an instance that does not own the
+ *  callee's shard and are forwarded to the owner. */
+Scenario
+roundRobinCluster(core::Transport transport, std::uint64_t seed)
+{
+    Scenario sc = paperScenario(transport, 16, 0);
+    sc.callsPerClient = 4;
+    sc.seed = seed;
+    sc.cluster.instances = 2;
+    sc.cluster.policy = core::DispatchPolicy::RoundRobin;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    return sc;
+}
+
+// Digest authentication: each caller's first INVITE draws a 401
+// challenge, then every request carries credentials.
+TEST(DigestGolden, UdpDigestAuthSeed59)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 16, 0);
+    sc.callsPerClient = 5;
+    sc.seed = 59;
+    sc.proxy.authenticate = true;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kUdpAuthSeed59);
+    expectReplyPath(r, {32, 192, 0, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.authChallenges, 0u);
+}
+
+// Redirect-server mode: every INVITE is answered with a 302 naming the
+// callee's registered contact.
+TEST(DigestGolden, UdpRedirectSeed61)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 16, 0);
+    sc.callsPerClient = 5;
+    sc.seed = 61;
+    sc.proxy.redirect = true;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kUdpRedirectSeed61);
+    expectReplyPath(r, {0, 0, 80, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.redirects, 0u);
+}
+
+// Local overload control at real overload: one core, slowed parse and
+// serialize, 300 callers; the threshold scheme sheds with 503s.
+TEST(DigestGolden, UdpThresholdRejectSeed67)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 300, 0);
+    sc.callsPerClient = 3;
+    sc.seed = 67;
+    sc.serverCores = 1;
+    sc.proxy.workers = 2;
+    sc.proxy.costs.parse *= 20;
+    sc.proxy.costs.serialize *= 20;
+    sc.proxy.overload.policy = core::OverloadPolicy::ThresholdReject;
+    sc.phoneRetryBackoffCap = sim::msecs(500);
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kUdpThresholdRejectSeed67);
+    expectReplyPath(r, {0, 0, 0, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.overloadRejected, 0u);
+}
+
+// Hop-by-hop window scheme on a three-hop chain whose one-worker
+// destination is the bottleneck: the edge's hop gate answers 503.
+TEST(DigestGolden, Chain3UdpWindowSeed71)
+{
+    Scenario sc;
+    sc.proxy.transport = core::Transport::Udp;
+    sc.proxy.workers = 4;
+    sc.clients = 60;
+    sc.callsPerClient = 3;
+    sc.clientMachines = 2;
+    sc.serverCores = 2;
+    sc.seed = 71;
+    sc.maxDuration = sim::secs(120);
+    sc.chain.assign(3, ChainHop{});
+    sc.chain[2].workers = 1;
+    sc.proxy.overload.hop.scheme = core::FeedbackScheme::Window;
+    sc.proxy.overload.hop.initialWindow = 2;
+    sc.phoneRetryBackoffCap = sim::msecs(500);
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kChain3UdpWindowSeed71);
+    expectReplyPath(r, {0, 0, 0, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.hopThrottleRejects, 0u);
+}
+
+// Heavy loss on the proxy-to-client path of one client machine: a
+// forwarded INVITE whose every retransmission is lost ends in a Timer B
+// 408 the proxy sends on the callee's behalf.
+TEST(DigestGolden, UdpLossTimerBSeed73)
+{
+    Scenario sc = paperScenario(core::Transport::Udp, 12, 0);
+    sc.callsPerClient = 4;
+    sc.seed = 73;
+    LinkFault f;
+    f.clientMachine = 1;
+    f.toProxy = false;
+    f.imp.lossProb = 0.7;
+    sc.linkFaults.push_back(f);
+    sc.settleTime = sim::secs(40);
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kUdpLossTimerBSeed73);
+    expectReplyPath(r, {0, 0, 0, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.timerB408s, 0u);
+}
+
+// Event-driven instances behind a round-robin TCP dispatcher: requests
+// for the other shard make an instance dial its peer (the event loops'
+// outbound connect).
+TEST(DigestGolden, ClusterEventTcpRoundRobinSeed79)
+{
+    Scenario sc = roundRobinCluster(core::Transport::Tcp, 79);
+    sc.proxy.arch = core::ArchKind::EventDriven;
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kClusterEventTcpRrSeed79);
+    expectReplyPath(r, {0, 0, 0, 0, 0, 358, 144, 396});
+    EXPECT_GT(r.counters.outboundConnects, 0u);
+    EXPECT_GT(r.counters.locMissForwards, 0u);
+}
+
+// The same over UDP: the dispatcher's datagram relay in both directions
+// and the owner forwards between instances.
+TEST(DigestGolden, ClusterUdpRoundRobinSeed83)
+{
+    Scenario sc = roundRobinCluster(core::Transport::Udp, 83);
+    RunResult r = runScenario(sc);
+    EXPECT_EQ(r.digest(), kClusterUdpRrSeed83);
+    expectReplyPath(r, {0, 0, 0, 0, 0, 0, 0, 0});
+    EXPECT_GT(r.counters.locMissForwards, 0u);
+    EXPECT_GT(r.dispatcherStats.responsesRouted, 0u);
+}
+
 TEST(DigestGolden, RepeatRunsAreByteIdentical)
 {
     Scenario sc = paperScenario(core::Transport::Tcp, 10, 3);
