@@ -79,6 +79,15 @@ class ConnTable
         return byId(it->second);
     }
 
+    /** The connection a send should use: @p id's when it is still in
+     *  the table, else the one aliased to @p addr (null: neither). */
+    TcpConnObj *
+    resolve(std::uint64_t id, net::Addr addr)
+    {
+        TcpConnObj *obj = id ? byId(id) : nullptr;
+        return obj ? obj : byAddr(addr);
+    }
+
     /** Point @p addr at connection @p id (refreshes on reconnect). */
     void
     setAlias(net::Addr addr, std::uint64_t id)

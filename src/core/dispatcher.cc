@@ -11,28 +11,6 @@ namespace {
  *  per connection instead, like the proxies it fronts). */
 constexpr int kDispatcherWorkers = 8;
 
-/** Extract the URI from a name-addr header value like "<sip:x>;tag=y". */
-std::optional<sip::SipUri>
-uriFromNameAddr(std::string_view value)
-{
-    auto lt = value.find('<');
-    if (lt != std::string_view::npos) {
-        auto gt = value.find('>', lt);
-        if (gt == std::string_view::npos)
-            return std::nullopt;
-        return sip::SipUri::parse(value.substr(lt + 1, gt - lt - 1));
-    }
-    auto semi = value.find(';');
-    return sip::SipUri::parse(value.substr(0, semi));
-}
-
-/** The address a Via header says to reply to. */
-std::optional<net::Addr>
-addrFromVia(const sip::Via &via)
-{
-    return sip::addrFromHost(via.host, via.effectivePort());
-}
-
 } // namespace
 
 const char *
@@ -130,7 +108,7 @@ Dispatcher::pickInstance(const sip::SipMessage &msg)
     // real dispatchers do: the binding must land in the shard that
     // owns it, or every later lookup would miss.
     if (msg.method() == sip::Method::Register) {
-        auto to_uri = uriFromNameAddr(msg.to());
+        auto to_uri = sip::uriFromNameAddr(msg.to());
         if (!to_uri)
             return -1;
         return ring_.owner(to_uri->user);
@@ -144,6 +122,21 @@ Dispatcher::pickInstance(const sip::SipMessage &msg)
         return ring_.owner(msg.requestUri().user);
     }
     return -1;
+}
+
+int
+Dispatcher::routeRequest(const sip::SipMessage &msg)
+{
+    int i = pickInstance(msg);
+    if (i < 0) {
+        ++stats_.dropsNoRoute;
+        return -1;
+    }
+    if (msg.method() == sip::Method::Register)
+        ++stats_.registersRouted;
+    ++stats_.requestsRouted;
+    ++stats_.toInstance[static_cast<std::size_t>(i)];
+    return i;
 }
 
 sim::Task
@@ -182,23 +175,16 @@ Dispatcher::routeDatagram(sim::Process &p, net::Datagram dgram)
     if (!pr.ok)
         co_return;
     if (pr.message.isRequest()) {
-        int i = pickInstance(pr.message);
-        if (i < 0) {
-            ++stats_.dropsNoRoute;
+        int i = routeRequest(pr.message);
+        if (i < 0)
             co_return;
-        }
-        if (pr.message.method() == sip::Method::Register)
-            ++stats_.registersRouted;
-        ++stats_.requestsRouted;
-        ++stats_.toInstance[static_cast<std::size_t>(i)];
         co_await sock_->sendTo(p,
                                cfg_.instances[static_cast<std::size_t>(
                                    i)],
                                std::move(dgram.payload));
     } else {
         // Response from an instance: the top Via names the phone.
-        const auto &via = pr.message.topVia();
-        auto phone = via ? addrFromVia(*via) : std::nullopt;
+        auto phone = sip::addrFromVia(pr.message.topVia());
         if (!phone) {
             ++stats_.dropsNoRoute;
             co_return;
@@ -270,8 +256,8 @@ Dispatcher::routeFromTrunk(sim::Process &p, std::string wire)
         // Owner instance forwarding toward the callee: the request-URI
         // is the registered contact.
         phone = sip::addrFromUri(pr.message.requestUri());
-    } else if (const auto &via = pr.message.topVia()) {
-        phone = addrFromVia(*via);
+    } else {
+        phone = sip::addrFromVia(pr.message.topVia());
     }
     if (!phone) {
         ++stats_.dropsNoRoute;
@@ -334,31 +320,22 @@ Dispatcher::routeFromClient(sim::Process &p,
         // Learn how to reach this phone for trunk traffic: the Via
         // sent-by (responses) and, on REGISTER, the Contact (requests
         // forwarded toward the callee).
-        if (const auto &via = pr.message.topVia()) {
-            if (auto a = addrFromVia(*via))
-                clientByAddr_[*a] = conn;
-        }
+        if (auto a = sip::addrFromVia(pr.message.topVia()))
+            clientByAddr_[*a] = conn;
         if (pr.message.method() == sip::Method::Register) {
             if (auto c = pr.message.contactUri()) {
                 if (auto a = sip::addrFromUri(*c))
                     clientByAddr_[*a] = conn;
             }
         }
-        int i = pickInstance(pr.message);
-        if (i < 0) {
-            ++stats_.dropsNoRoute;
+        int i = routeRequest(pr.message);
+        if (i < 0)
             co_return;
-        }
-        if (pr.message.method() == sip::Method::Register)
-            ++stats_.registersRouted;
-        ++stats_.requestsRouted;
-        ++stats_.toInstance[static_cast<std::size_t>(i)];
         co_await sendToInstance(p, i, std::move(wire));
     } else {
         // Response from a phone: the top Via names the instance whose
         // trunk it rides back on.
-        const auto &via = pr.message.topVia();
-        auto a = via ? addrFromVia(*via) : std::nullopt;
+        auto a = sip::addrFromVia(pr.message.topVia());
         auto it = a ? instanceByAddr_.find(*a) : instanceByAddr_.end();
         if (!a || it == instanceByAddr_.end()) {
             ++stats_.dropsNoRoute;

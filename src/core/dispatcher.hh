@@ -148,6 +148,10 @@ class Dispatcher
     /** Policy decision for one peeked request; -1 when unroutable. */
     int pickInstance(const sip::SipMessage &msg);
 
+    /** pickInstance(), counted: a drop when unroutable, else a routed
+     *  request (and REGISTER) toward the returned instance. */
+    int routeRequest(const sip::SipMessage &msg);
+
     /** Charge the peek and parse one message, then charge the routing
      *  decision; junk (!out->ok) is counted and not charged further. */
     sim::Task peek(sim::Process &p, const std::string &wire,

@@ -12,26 +12,15 @@ namespace {
 /** Re-check period of a forward parked by the hop gate's hold. */
 constexpr sim::SimTime kHopHoldTick = sim::msecs(10);
 
-/** Extract the URI from a name-addr header value like "<sip:x>;tag=y". */
-std::optional<sip::SipUri>
-uriFromNameAddr(std::string_view value)
+/** A 503 answering @p req that asks the caller to wait @p retry_after
+ *  seconds (RFC 3261 §21.5.4). */
+sip::SipMessage
+serviceUnavailable(const sip::SipMessage &req, int retry_after)
 {
-    auto lt = value.find('<');
-    if (lt != std::string_view::npos) {
-        auto gt = value.find('>', lt);
-        if (gt == std::string_view::npos)
-            return std::nullopt;
-        return sip::SipUri::parse(value.substr(lt + 1, gt - lt - 1));
-    }
-    auto semi = value.find(';');
-    return sip::SipUri::parse(value.substr(0, semi));
-}
-
-/** The address a Via header says to reply to. */
-std::optional<net::Addr>
-addrFromVia(const sip::Via &via)
-{
-    return sip::addrFromHost(via.host, via.effectivePort());
+    sip::SipMessage rsp =
+        sip::buildResponse(req, sip::status::kServiceUnavailable);
+    rsp.addHeader("Retry-After", std::to_string(retry_after));
+    return rsp;
 }
 
 } // namespace
@@ -157,24 +146,6 @@ Engine::handleMessage(sim::Process &p, std::string raw, MsgSource src,
 }
 
 sim::Task
-Engine::refreshAlias(sim::Process &p, const sip::SipMessage &msg,
-                     MsgSource src)
-{
-    if (src.connId == 0)
-        co_return;
-    const auto &via = msg.topVia();
-    if (!via)
-        co_return;
-    auto addr = addrFromVia(*via);
-    if (!addr)
-        co_return;
-    co_await shared_.conns.lock().acquire(p);
-    co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
-    shared_.conns.setAlias(*addr, src.connId);
-    shared_.conns.lock().release();
-}
-
-sim::Task
 Engine::checkAuth(sim::Process &p, const sip::SipMessage &msg,
                   MsgSource src, std::vector<SendAction> *out,
                   bool *accepted)
@@ -185,25 +156,8 @@ Engine::checkAuth(sim::Process &p, const sip::SipMessage &msg,
         // Challenge with a fresh nonce (RFC 2617 digest).
         ++shared_.counters.authChallenges;
         co_await p.cpu(cfg_.costs.authChallenge, cc_auth);
-        sip::SipMessage rsp =
-            sip::buildResponse(msg, sip::status::kUnauthorized);
-        char challenge[64];
-        int clen = std::snprintf(challenge, sizeof(challenge),
-                                 "Digest realm=\"siprox\", nonce=\"n%llu\"",
-                                 static_cast<unsigned long long>(++nonce_));
-        rsp.addHeader("WWW-Authenticate",
-                      std::string_view(challenge,
-                                       static_cast<std::size_t>(clen)));
-        attachHopFeedback(rsp, p.sim().now());
-        co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-        SendAction action;
-        action.wire = rsp.serialize();
-        action.dstAddr = src.addr;
-        action.dstConnId = src.connId;
-        action.toUpstream = true;
-        out->push_back(std::move(action));
-        ++shared_.counters.localReplies;
         *accepted = false;
+        co_await replyTo(p, challenge(msg), src, out);
         co_return;
     }
     // Verify: credential fetch (the expensive part, per Nahum et al.)
@@ -256,19 +210,34 @@ Engine::attachHopFeedback(sip::SipMessage &rsp, sim::SimTime now)
     ++shared_.counters.hopFeedbackSent;
 }
 
-sim::Task
-Engine::replyTo(sim::Process &p, const sip::SipMessage &req, int status,
-                MsgSource src, std::vector<SendAction> *out)
+sip::SipMessage
+Engine::challenge(const sip::SipMessage &req)
 {
-    sip::SipMessage rsp = sip::buildResponse(req, status);
+    sip::SipMessage rsp =
+        sip::buildResponse(req, sip::status::kUnauthorized);
+    char value[64];
+    int n = std::snprintf(value, sizeof(value),
+                          "Digest realm=\"siprox\", nonce=\"n%llu\"",
+                          static_cast<unsigned long long>(++nonce_));
+    rsp.addHeader("WWW-Authenticate",
+                  std::string_view(value, static_cast<std::size_t>(n)));
+    return rsp;
+}
+
+sim::Task
+Engine::reply(sim::Process &p, const sip::SipMessage &req, int status,
+              MsgSource src, std::vector<SendAction> *out)
+{
+    return replyTo(p, sip::buildResponse(req, status), src, out);
+}
+
+sim::Task
+Engine::replyTo(sim::Process &p, sip::SipMessage rsp, MsgSource src,
+                std::vector<SendAction> *out)
+{
     attachHopFeedback(rsp, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-    SendAction action;
-    action.wire = rsp.serialize();
-    action.dstAddr = src.addr;
-    action.dstConnId = src.connId;
-    action.toUpstream = true;
-    out->push_back(std::move(action));
+    out->push_back({rsp.serialize(), src.addr, src.connId});
     ++shared_.counters.localReplies;
 }
 
@@ -291,9 +260,9 @@ Engine::handleRegister(sim::Process &p, sip::SipMessage msg,
                        MsgSource src, std::vector<SendAction> *out)
 {
     auto contact = msg.contactUri();
-    auto to_uri = uriFromNameAddr(msg.to());
+    auto to_uri = sip::uriFromNameAddr(msg.to());
     if (!contact || !to_uri) {
-        co_await replyTo(p, msg, sip::status::kBadRequest, src, out);
+        co_await reply(p, msg, sip::status::kBadRequest, src, out);
         co_return;
     }
     co_await shared_.registrar.lock().acquire(p);
@@ -332,7 +301,7 @@ Engine::handleRegister(sim::Process &p, sip::SipMessage msg,
         }
     }
     ++shared_.counters.registrations;
-    co_await replyTo(p, msg, sip::status::kOk, src, out);
+    co_await reply(p, msg, sip::status::kOk, src, out);
 }
 
 sim::Task
@@ -362,14 +331,8 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             net::Addr up_addr = rec->upstreamAddr;
             std::uint64_t up_conn = rec->upstreamConnId;
             shared_.txns.lock().release();
-            if (!replay.empty()) {
-                SendAction action;
-                action.wire = std::move(replay);
-                action.dstAddr = up_addr;
-                action.dstConnId = up_conn;
-                action.toUpstream = true;
-                out->push_back(std::move(action));
-            }
+            if (!replay.empty())
+                out->push_back({std::move(replay), up_addr, up_conn});
             co_return;
         }
         shared_.txns.lock().release();
@@ -400,20 +363,9 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         }
         if (gate == HopThrottleTable::Gate::Busy) {
             ++shared_.counters.hopThrottleRejects;
-            sip::SipMessage rsp = sip::buildResponse(
-                msg, sip::status::kServiceUnavailable);
-            rsp.addHeader(
-                "Retry-After",
-                std::to_string(cfg_.overload.hop.retryAfterSecs));
-            attachHopFeedback(rsp, p.sim().now());
-            co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-            SendAction action;
-            action.wire = rsp.serialize();
-            action.dstAddr = src.addr;
-            action.dstConnId = src.connId;
-            action.toUpstream = true;
-            out->push_back(std::move(action));
-            ++shared_.counters.localReplies;
+            co_await replyTo(
+                p, serviceUnavailable(msg, cfg_.overload.hop.retryAfterSecs),
+                src, out);
             co_return;
         }
         // Window admits reserve a pending slot; remember to release it
@@ -432,20 +384,9 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             if (hop_gated)
                 shared_.hopGate.noteAborted(cfg_.nextHop);
             if (adm == OverloadController::Admission::Reject) {
-                sip::SipMessage rsp = sip::buildResponse(
-                    msg, sip::status::kServiceUnavailable);
-                rsp.addHeader(
-                    "Retry-After",
-                    std::to_string(cfg_.overload.retryAfterSecs));
-                attachHopFeedback(rsp, p.sim().now());
-                co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-                SendAction action;
-                action.wire = rsp.serialize();
-                action.dstAddr = src.addr;
-                action.dstConnId = src.connId;
-                action.toUpstream = true;
-                out->push_back(std::move(action));
-                ++shared_.counters.localReplies;
+                co_await replyTo(
+                    p, serviceUnavailable(msg, cfg_.overload.retryAfterSecs),
+                    src, out);
             }
             co_return;
         }
@@ -454,7 +395,7 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
     // A stateful proxy takes responsibility with 100 Trying (§2 step 2).
     std::string trying_wire;
     if (stateful && is_invite) {
-        co_await replyTo(p, msg, sip::status::kTrying, src, out);
+        co_await reply(p, msg, sip::status::kTrying, src, out);
         trying_wire = out->back().wire;
     }
 
@@ -513,22 +454,20 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
                 if (loc.enabled())
                     ++shared_.counters.locLocalHits;
                 target = binding->contact;
-            } else if (auto direct = sip::addrFromUri(msg.requestUri());
-                       direct && *direct != proxyAddr_) {
-                target = msg.requestUri();
+                dst = sip::addrFromUri(target);
             } else {
-                ++shared_.counters.routeFailures;
-                if (!is_ack)
-                    co_await replyTo(p, msg, sip::status::kNotFound,
-                                     src, out);
-                co_return;
+                // Unregistered: a request-URI naming another host is
+                // routed there directly.
+                target = msg.requestUri();
+                dst = sip::addrFromUri(target);
+                if (dst && *dst == proxyAddr_)
+                    dst.reset();
             }
-            dst = sip::addrFromUri(target);
             if (!dst) {
                 ++shared_.counters.routeFailures;
                 if (!is_ack)
-                    co_await replyTo(p, msg, sip::status::kNotFound,
-                                     src, out);
+                    co_await reply(p, msg, sip::status::kNotFound, src,
+                                   out);
                 co_return;
             }
         }
@@ -538,17 +477,10 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
     // transaction by handing the caller the registered contact.
     if (cfg_.redirect && is_invite) {
         ++shared_.counters.redirects;
-        sip::SipMessage rsp = sip::buildResponse(
-            msg, sip::status::kMovedTemporarily, "", target);
-        attachHopFeedback(rsp, p.sim().now());
-        co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-        SendAction action;
-        action.wire = rsp.serialize();
-        action.dstAddr = src.addr;
-        action.dstConnId = src.connId;
-        action.toUpstream = true;
-        out->push_back(std::move(action));
-        ++shared_.counters.localReplies;
+        co_await replyTo(p,
+                         sip::buildResponse(
+                             msg, sip::status::kMovedTemporarily, "", target),
+                         src, out);
         co_return;
     }
 
@@ -612,11 +544,9 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         }
     }
 
-    SendAction action;
-    action.wire = std::move(wire);
-    action.dstAddr = *dst;
-    co_await resolveConn(p, *dst, &action.dstConnId);
-    out->push_back(std::move(action));
+    std::uint64_t dst_conn = 0;
+    co_await resolveConn(p, *dst, &dst_conn);
+    out->push_back({std::move(wire), *dst, dst_conn});
     ++shared_.counters.forwards;
     // Window slots need a transaction record to be released against;
     // without one (stateless, or a keyless request) release now so a
@@ -679,12 +609,7 @@ Engine::handleTimeout(sim::Process &p, const RetransList::TimedOut &to,
 
     ++shared_.counters.timerB408s;
     ++shared_.counters.localReplies;
-    SendAction action;
-    action.wire = std::move(wire);
-    action.dstAddr = dst;
-    action.dstConnId = dst_conn;
-    action.toUpstream = true;
-    out->push_back(std::move(action));
+    out->push_back({std::move(wire), dst, dst_conn});
 }
 
 sim::Task
@@ -720,19 +645,14 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
         && msg.statusCode() == sip::status::kTrying)
         co_return;
 
-    net::Addr dst{};
-    std::uint64_t dst_conn = 0;
-    bool routed = false;
-
     if (cfg_.stateful && key) {
         co_await shared_.txns.lock().acquire(p);
         co_await p.cpu(scaled(cfg_.costs.txnLookup), ccTm_);
         auto rec = shared_.txns.find(*key);
         if (rec) {
             co_await p.cpu(scaled(cfg_.costs.txnUpdate), ccTm_);
-            dst = rec->upstreamAddr;
-            dst_conn = rec->upstreamConnId;
-            routed = true;
+            const net::Addr dst = rec->upstreamAddr;
+            const std::uint64_t dst_conn = rec->upstreamConnId;
             sim::SimTime created = rec->createdAt;
             bool just_completed = false;
             bool hop_gated = false;
@@ -761,12 +681,7 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
             co_await shared_.txns.lock().acquire(p);
             rec->lastResponse = wire;
             shared_.txns.lock().release();
-            SendAction action;
-            action.wire = std::move(wire);
-            action.dstAddr = dst;
-            action.dstConnId = dst_conn;
-            action.toUpstream = true;
-            out->push_back(std::move(action));
+            out->push_back({std::move(wire), dst, dst_conn});
             ++shared_.counters.forwards;
             if (just_completed)
                 shared_.overload.recordServed(
@@ -777,28 +692,16 @@ Engine::handleResponse(sim::Process &p, sip::SipMessage msg,
     }
 
     // Stateless (or stray) response: route by the next Via.
-    auto next = msg.topVia();
-    if (!next) {
+    auto dst = sip::addrFromVia(msg.topVia());
+    if (!dst) {
         ++shared_.counters.routeFailures;
         co_return;
     }
-    auto via_addr = addrFromVia(*next);
-    if (!via_addr) {
-        ++shared_.counters.routeFailures;
-        co_return;
-    }
-    dst = *via_addr;
-    co_await resolveConn(p, dst, &dst_conn);
-    routed = true;
-    (void)routed;
+    std::uint64_t dst_conn = 0;
+    co_await resolveConn(p, *dst, &dst_conn);
     attachHopFeedback(msg, p.sim().now());
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-    SendAction action;
-    action.wire = msg.serialize();
-    action.dstAddr = dst;
-    action.dstConnId = dst_conn;
-    action.toUpstream = true;
-    out->push_back(std::move(action));
+    out->push_back({msg.serialize(), *dst, dst_conn});
     ++shared_.counters.forwards;
 }
 

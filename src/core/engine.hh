@@ -5,6 +5,14 @@
  * worker owns one Engine; the architecture-specific code (UDP/TCP/SCTP
  * workers) performs the sends that the Engine emits as SendActions.
  *
+ * Every response the Engine originates for a request (100 Trying,
+ * REGISTER 200/400, 404, the 401 challenge, both 503 rejects, the 302
+ * redirect) leaves through one replyTo(), which attaches the hop
+ * feedback, charges the serialize, emits the SendAction back to the
+ * request's source and counts the local reply. Only the Timer B 408
+ * builds its own: it is serialized before the transaction lookup that
+ * finds where it goes.
+ *
  * The Engine charges all user-level CPU costs and takes the shared
  * locks itself, so lock contention behaves identically across
  * architectures (as it does in OpenSER, §3).
@@ -43,8 +51,6 @@ struct SendAction
     net::Addr dstAddr;
     /** Preferred existing TCP connection (0: resolve by address). */
     std::uint64_t dstConnId = 0;
-    /** True when this is a response heading back toward a caller. */
-    bool toUpstream = false;
 };
 
 /**
@@ -89,19 +95,29 @@ class Engine
                              MsgSource src,
                              std::vector<SendAction> *out);
 
-    /** Refresh the Via-sent-by alias for TCP connections. */
-    sim::Task refreshAlias(sim::Process &p, const sip::SipMessage &msg,
-                           MsgSource src);
-
     /** Digest authentication gate: challenges or verifies. */
     sim::Task checkAuth(sim::Process &p, const sip::SipMessage &msg,
                         MsgSource src, std::vector<SendAction> *out,
                         bool *accepted);
 
-    /** Emit a locally generated response to the request's source. */
-    sim::Task replyTo(sim::Process &p, const sip::SipMessage &req,
-                      int status, MsgSource src,
+    /** Send a locally generated response back to the request's
+     *  source: attach the hop feedback, charge the serialize and count
+     *  a local reply. Every response the engine originates for a
+     *  request leaves through here. Pass @p rsp as a prvalue: a named
+     *  response moved in would sit in the caller's frame twice. */
+    sim::Task replyTo(sim::Process &p, sip::SipMessage rsp, MsgSource src,
                       std::vector<SendAction> *out);
+
+    /** replyTo() with the bare @p status response to @p req. A plain
+     *  function returning replyTo's task: the response is built here
+     *  and moved into that frame, so the awaiting handler keeps no
+     *  copy in its own. */
+    sim::Task reply(sim::Process &p, const sip::SipMessage &req,
+                    int status, MsgSource src,
+                    std::vector<SendAction> *out);
+
+    /** The 401 digest challenge to @p req, with a fresh nonce. */
+    sip::SipMessage challenge(const sip::SipMessage &req);
 
     /** Piggyback this proxy's hop-by-hop overload advertisement on a
      *  response about to be sent upstream (no-op when the hop scheme

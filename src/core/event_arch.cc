@@ -46,8 +46,9 @@ EventArch::start()
     }
     timerLoop_ = std::make_unique<WorkerLoop>(shared_, cfg_,
                                               *loops_[0]->engine);
-    machine_.spawn("timer", 0,
-                   [this](sim::Process &p) { return timerMain(p); });
+    machine_.spawn("timer", 0, [this](sim::Process &p) {
+        return timerLoop_->timerMain(p, stop_, sock_);
+    });
 }
 
 std::size_t
@@ -271,11 +272,8 @@ EventArch::loopSend(sim::Process &p, Loop &l, SendAction action)
     // per-loop cache, send on the private duplicate after release.
     co_await shared_.conns.lock().acquire(p);
     co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
-    TcpConnObj *obj = action.dstConnId
-        ? shared_.conns.byId(action.dstConnId)
-        : nullptr;
-    if (!obj)
-        obj = shared_.conns.byAddr(action.dstAddr);
+    TcpConnObj *obj =
+        shared_.conns.resolve(action.dstConnId, action.dstAddr);
     if (!obj) {
         shared_.conns.lock().release();
         co_await loopConnect(p, l, std::move(action));
@@ -312,10 +310,8 @@ EventArch::loopConnect(sim::Process &p, Loop &l, SendAction action)
     ++shared_.counters.outboundConnects;
     net::TcpConn conn;
     try {
-        if (cfg_.transport == Transport::Tls)
-            co_await host_.tlsConnect(p, action.dstAddr, conn);
-        else
-            co_await host_.tcpConnect(p, action.dstAddr, conn);
+        co_await connectStream(p, host_, cfg_.transport, action.dstAddr,
+                               conn);
     } catch (const net::NetError &) {
         ++shared_.counters.sendsToDeadConns;
         co_return;
@@ -473,24 +469,6 @@ EventArch::loopMainDatagram(sim::Process &p, int id)
                     co_return;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timer process
-// ---------------------------------------------------------------------------
-
-sim::Task
-EventArch::timerMain(sim::Process &p)
-{
-    while (!stop_) {
-        co_await p.sleepFor(cfg_.timerTick);
-        if (stop_)
-            break;
-        sim::SimTime now = p.sim().now();
-        co_await WorkerLoop::reclaimTxns(p, shared_, cfg_, now);
-        if (!tcpMode())
-            co_await timerLoop_->datagramTimerTick(p, *sock_, now);
     }
 }
 

@@ -153,7 +153,6 @@ class EventArch final : public ServerArch
                           std::uint64_t conn_id);
 
     sim::Task loopIdleScan(sim::Process &p, Loop &l);
-    sim::Task timerMain(sim::Process &p);
 
     sim::Machine &machine_;
     net::Host &host_;

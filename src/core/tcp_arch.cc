@@ -225,14 +225,10 @@ TcpArch::workerSend(sim::Process &p, Worker &w, SendAction action)
         }
     }
 
-    // Resolve the connection object: preferred id, then address alias.
     co_await shared_.conns.lock().acquire(p);
     co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
-    TcpConnObj *obj = action.dstConnId
-        ? shared_.conns.byId(action.dstConnId)
-        : nullptr;
-    if (!obj)
-        obj = shared_.conns.byAddr(action.dstAddr);
+    TcpConnObj *obj =
+        shared_.conns.resolve(action.dstConnId, action.dstAddr);
     std::uint64_t id = 0;
     if (obj) {
         id = obj->id;
@@ -305,11 +301,8 @@ TcpArch::workerSendThreadMode(sim::Process &p, Worker &w,
     // only a per-connection write lock.
     co_await shared_.conns.lock().acquire(p);
     co_await p.cpu(cfg_.costs.connLookup, ccConnHash_);
-    TcpConnObj *obj = action.dstConnId
-        ? shared_.conns.byId(action.dstConnId)
-        : nullptr;
-    if (!obj)
-        obj = shared_.conns.byAddr(action.dstAddr);
+    TcpConnObj *obj =
+        shared_.conns.resolve(action.dstConnId, action.dstAddr);
     if (!obj) {
         shared_.conns.lock().release();
         co_await workerOutboundConnect(p, w, std::move(action));
@@ -333,10 +326,8 @@ TcpArch::workerOutboundConnect(sim::Process &p, Worker &w,
     ++shared_.counters.outboundConnects;
     net::TcpConn conn;
     try {
-        if (cfg_.transport == Transport::Tls)
-            co_await host_.tlsConnect(p, action.dstAddr, conn);
-        else
-            co_await host_.tcpConnect(p, action.dstAddr, conn);
+        co_await connectStream(p, host_, cfg_.transport, action.dstAddr,
+                               conn);
     } catch (const net::NetError &) {
         ++shared_.counters.sendsToDeadConns;
         co_return;

@@ -19,6 +19,15 @@ bindDatagram(net::Host &host, Transport transport, std::uint16_t port)
     return host.udpBind(port);
 }
 
+sim::Task
+connectStream(sim::Process &p, net::Host &host, Transport transport,
+              net::Addr remote, net::TcpConn &out)
+{
+    if (transport == Transport::Tls)
+        return host.tlsConnect(p, remote, out);
+    return host.tcpConnect(p, remote, out);
+}
+
 void
 OwnedConns::add(std::uint64_t id, net::TcpConn conn)
 {

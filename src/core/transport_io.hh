@@ -1,9 +1,10 @@
 /**
  * @file
  * Transport I/O shared by every SIP endpoint (proxy receive loops, the
- * cluster dispatcher, phones): bindDatagram() for UDP/SCTP/SST, and for
- * TCP/TLS the FramedConn read by readFrames() — the read-and-frame step
- * of the paper's §3.1 loop — plus the OwnedConns set each stream
+ * cluster dispatcher, phones): bindDatagram() for UDP/SCTP/SST;
+ * connectStream() to open a TCP or TLS connection; and for TCP/TLS
+ * the FramedConn read by readFrames() — the read-and-frame step of the
+ * paper's §3.1 loop — plus the OwnedConns set each stream
  * architecture's loop polls. What a caller does with a read's outcome,
  * and every send, idle-scan and accept policy, stays with the caller.
  */
@@ -32,6 +33,13 @@ namespace siprox::core {
 /** Bind @p transport's datagram socket (UDP, SCTP or SST) on @p port. */
 net::DatagramSocket &bindDatagram(net::Host &host, Transport transport,
                                   std::uint16_t port);
+
+/** Open @p transport's stream (TLS, else TCP) to @p remote into @p out:
+ *  returns the Host connect itself, so awaiting it costs no extra
+ *  coroutine frame. Throws net::NetError as the connect does. */
+sim::Task connectStream(sim::Process &p, net::Host &host,
+                        Transport transport, net::Addr remote,
+                        net::TcpConn &out);
 
 /** A stream connection and the framer fed from its bytes. */
 struct FramedConn

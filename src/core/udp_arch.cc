@@ -31,8 +31,9 @@ UdpArch::start()
     // its own WorkerLoop: loops must not be shared across processes.
     timerLoop_ = std::make_unique<WorkerLoop>(shared_, cfg_,
                                               *engines_[0]);
-    machine_.spawn("timer", 0,
-                   [this](sim::Process &p) { return timerMain(p); });
+    machine_.spawn("timer", 0, [this](sim::Process &p) {
+        return timerLoop_->timerMain(p, stop_, sock_);
+    });
 }
 
 std::size_t
@@ -73,19 +74,6 @@ UdpArch::workerMain(sim::Process &p, int id)
         for (auto &dgram : batch)
             co_await loop.dispatchCollect(p, *sock_, std::move(dgram),
                                           outbox, batch.size(), --left);
-    }
-}
-
-sim::Task
-UdpArch::timerMain(sim::Process &p)
-{
-    while (!stop_) {
-        co_await p.sleepFor(cfg_.timerTick);
-        if (stop_)
-            break;
-        sim::SimTime now = p.sim().now();
-        co_await WorkerLoop::reclaimTxns(p, shared_, cfg_, now);
-        co_await timerLoop_->datagramTimerTick(p, *sock_, now);
     }
 }
 

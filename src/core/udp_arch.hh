@@ -64,7 +64,6 @@ class UdpArch final : public ServerArch
 
   private:
     sim::Task workerMain(sim::Process &p, int id);
-    sim::Task timerMain(sim::Process &p);
 
     sim::Machine &machine_;
     net::Host &host_;

@@ -22,6 +22,21 @@ WorkerLoop::reclaimTxns(sim::Process &p, SharedState &shared,
 }
 
 sim::Task
+WorkerLoop::timerMain(sim::Process &p, const bool &stop,
+                      net::DatagramSocket *sock)
+{
+    while (!stop) {
+        co_await p.sleepFor(cfg_.timerTick);
+        if (stop)
+            break;
+        sim::SimTime now = p.sim().now();
+        co_await reclaimTxns(p, shared_, cfg_, now);
+        if (sock)
+            co_await datagramTimerTick(p, *sock, now);
+    }
+}
+
+sim::Task
 WorkerLoop::datagramTimerTick(sim::Process &p, net::DatagramSocket &sock,
                               sim::SimTime now)
 {

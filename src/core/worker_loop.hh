@@ -14,9 +14,10 @@
  * queue-depth signal, and flushes the batch's replies through one
  * sendBatch.
  *
- * The timer-process bodies (terminated-transaction reclamation and the
- * datagram retransmission walk) are equally architecture-independent
- * and live here too.
+ * The timer-process bodies (the symmetric-worker and event-driven timer
+ * loop, terminated-transaction reclamation and the datagram
+ * retransmission walk) are equally architecture-independent and live
+ * here too.
  *
  * One WorkerLoop per *process*: both dispatch paths reuse a member
  * SendAction vector (the parse+forward hot path is
@@ -131,6 +132,16 @@ class WorkerLoop
     static sim::Task reclaimTxns(sim::Process &p, SharedState &shared,
                                  const ProxyConfig &cfg,
                                  sim::SimTime now = sim::kTimeNever);
+
+    /**
+     * The timer process of the symmetric-worker and event-driven
+     * architectures: every ProxyConfig::timerTick until @p stop is
+     * set, reclaim terminated transactions and, when @p sock is given
+     * (datagram transports), run datagramTimerTick() on it. Both steps
+     * share the tick's horizon, sampled when the sleep ends.
+     */
+    sim::Task timerMain(sim::Process &p, const bool &stop,
+                        net::DatagramSocket *sock);
 
     /**
      * One datagram timer tick past the transaction reclaim: walk the

@@ -142,12 +142,8 @@ class Phone::Link
     {
         auto flow = std::make_unique<core::FramedConn>();
         try {
-            if (cfg_.transport == core::Transport::Tls)
-                co_await host_.tlsConnect(p, cfg_.proxyAddr,
-                                          flow->conn);
-            else
-                co_await host_.tcpConnect(p, cfg_.proxyAddr,
-                                          flow->conn);
+            co_await core::connectStream(p, host_, cfg_.transport,
+                                         cfg_.proxyAddr, flow->conn);
         } catch (const net::NetError &) {
             *ok = false;
             co_return;
@@ -390,18 +386,6 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
 }
 
 namespace {
-
-/** The address a request's top Via says responses go to (RFC 3261
- *  Â§18.2.2); invalid if it is not an h<id> simulated address. */
-net::Addr
-viaAddr(const sip::SipMessage &msg)
-{
-    const auto &via = msg.topVia();
-    if (!via)
-        return {};
-    return sip::addrFromHost(via->host, via->effectivePort())
-        .value_or(net::Addr{});
-}
 
 /** Seconds a 503's Retry-After asks us to wait (RFC 3261 §21.5.4);
  *  defaults to 1 s when the header is missing or unparsable. */
@@ -677,7 +661,8 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             current_call = cid;
             // Responses follow the request's top Via: the proxy when
             // proxied, the caller directly after a redirect.
-            ok200_dst = viaAddr(msg);
+            ok200_dst =
+                sip::addrFromVia(msg.topVia()).value_or(net::Addr{});
             if (!duplicate) {
                 sip::SipMessage ringing =
                     sip::buildResponse(msg, sip::status::kRinging,
@@ -722,8 +707,9 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
                 msg, sip::status::kOk, to_tag);
             bool sent = false;
             co_await p.cpu(cfg_.processCost, kPhoneCc);
-            co_await link_->send(p, ok.serialize(), &sent,
-                                 viaAddr(msg));
+            co_await link_->send(
+                p, ok.serialize(), &sent,
+                sip::addrFromVia(msg.topVia()).value_or(net::Addr{}));
             if (!current_call.empty() && msg.callId() == current_call) {
                 opDone(p.sim().now()); // bye transaction complete
                 ++stats_.callsCompleted;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/machine.hh"
 #include "sim/process.hh"
 
@@ -133,38 +134,7 @@ constexpr char kCatMark = 5;
 /** Synthetic trace-process hosting the per-call async tracks. */
 constexpr int kCallsPid = 0;
 
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
+using json::appendEscaped;
 
 void
 appendMicros(std::string &out, SimTime ns)

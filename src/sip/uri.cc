@@ -2,6 +2,8 @@
 
 #include <charconv>
 
+#include "sip/message.hh"
+
 namespace siprox::sip {
 
 namespace {
@@ -147,6 +149,27 @@ addrFromHost(std::string_view host, std::uint16_t port)
     if (ec != std::errc() || ptr != sv.data() + sv.size())
         return std::nullopt;
     return net::Addr{id, port};
+}
+
+std::optional<net::Addr>
+addrFromVia(const std::optional<Via> &via)
+{
+    if (!via)
+        return std::nullopt;
+    return addrFromHost(via->host, via->effectivePort());
+}
+
+std::optional<SipUri>
+uriFromNameAddr(std::string_view value)
+{
+    auto lt = value.find('<');
+    if (lt != std::string_view::npos) {
+        auto gt = value.find('>', lt);
+        if (gt == std::string_view::npos)
+            return std::nullopt;
+        return SipUri::parse(value.substr(lt + 1, gt - lt - 1));
+    }
+    return SipUri::parse(value.substr(0, value.find(';')));
 }
 
 SipUri

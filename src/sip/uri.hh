@@ -21,6 +21,8 @@
 
 namespace siprox::sip {
 
+struct Via;
+
 /** Parsed SIP URI. */
 struct SipUri
 {
@@ -60,6 +62,15 @@ std::optional<net::Addr> addrFromUri(const SipUri &uri);
 /** Same mapping from a bare host name and port (no SipUri temporary). */
 std::optional<net::Addr> addrFromHost(std::string_view host,
                                       std::uint16_t port);
+
+/** The address a Via says responses go to (RFC 3261 §18.2.2): nullopt
+ *  when there is no Via or its host is not an "h<id>" name. */
+std::optional<net::Addr> addrFromVia(const std::optional<Via> &via);
+
+/** The URI of a name-addr header value such as "<sip:x>;tag=y" or the
+ *  bare "sip:x;tag=y" (To, From): nullopt when it does not parse or a
+ *  "<" is never closed. */
+std::optional<SipUri> uriFromNameAddr(std::string_view value);
 
 /** Build a URI for @p user at a simulated address. */
 SipUri uriForAddr(std::string user, net::Addr addr);

@@ -4,7 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sim/json.hh"
+
 namespace siprox::stats {
+
+using sim::json::appendEscaped;
+using sim::json::renderDouble;
 
 namespace {
 
@@ -14,14 +19,6 @@ namespace {
 constexpr std::string_view kBlockingWaits[] = {
     "lockspin", "lockblock", "ipc", "socket", "sleep", "throttled",
 };
-
-std::string
-renderDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
 
 std::string
 renderPct(double v)
@@ -35,16 +32,6 @@ std::string
 msOf(sim::SimTime ns)
 {
     return std::to_string(ns / 1'000'000) + "ms";
-}
-
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
 }
 
 /** Stable descending rank: value desc, then name asc. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unified metrics registry: one place for every named counter, gauge,
- * and latency histogram a run produces, behind a snapshot/diff/JSON
+ * Unified metrics registry: one place for every named counter and
+ * gauge a run produces, behind a snapshot/diff/JSON
  * API with deterministic (lexicographic) ordering. Absorbs the
  * scattered RunResult counters, FaultStats totals, and overload/
  * profiler numbers so tools and benches query one namespace instead
@@ -10,9 +10,8 @@
  * Naming scheme (see docs/observability.md): dot-separated lowercase
  * paths, subsystem first — "proxy.messagesIn", "phone.callsCompleted",
  * "faults.lost", "profile.share.ser:parse_msg". Counters are integral
- * and monotonic within a run; gauges are point-in-time doubles;
- * histograms register as
- * <name>.{count,p50_ms,p95_ms,p99_ms,p999_ms,mean_ms,max_ms}.
+ * and monotonic within a run; gauges are point-in-time doubles (a
+ * latency histogram contributes its percentiles as gauges).
  */
 
 #ifndef SIPROX_STATS_METRICS_HH
@@ -22,8 +21,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-
-#include "stats/histogram.hh"
 
 namespace siprox::stats {
 
@@ -93,17 +90,8 @@ class MetricsRegistry
     /** Set counter @p name to @p v (absolute). */
     void setCounter(std::string_view name, std::uint64_t v);
 
-    /** Add @p v to counter @p name (created at zero). */
-    void addCounter(std::string_view name, std::uint64_t v);
-
     /** Set gauge @p name to @p v. */
     void setGauge(std::string_view name, double v);
-
-    /** Register @p h under <name>.count/.p50_ms/.p95_ms/.p99_ms/
-     *  .p999_ms/.mean_ms/.max_ms (count as a counter, the rest as
-     *  gauges). */
-    void recordHistogram(std::string_view name,
-                         const LatencyHistogram &h);
 
     MetricsSnapshot snapshot() const { return snap_; }
 

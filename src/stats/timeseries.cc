@@ -1,32 +1,13 @@
 #include "stats/timeseries.hh"
 
 #include <cassert>
-#include <cstdio>
+
+#include "sim/json.hh"
 
 namespace siprox::stats {
 
-namespace {
-
-/** Fixed-format double: round-trips run artifacts, locale-free. */
-std::string
-renderDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
-
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
-} // namespace
+using sim::json::appendEscaped;
+using sim::json::renderDouble;
 
 std::uint64_t
 Window::counterOr(std::string_view name, std::uint64_t dflt) const

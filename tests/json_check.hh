@@ -4,7 +4,9 @@
  * trace-event timeline and metrics snapshots). Supports the full JSON
  * grammar the exporters emit: objects, arrays, strings with backslash
  * escapes, numbers, booleans, null. Throws std::runtime_error with a
- * byte offset on malformed input — a test failure, not a crash.
+ * byte offset on malformed input, including a raw control character
+ * inside a string (JSON requires it escaped) — a test failure, not a
+ * crash.
  */
 
 #ifndef SIPROX_TESTS_JSON_CHECK_HH
@@ -220,21 +222,44 @@ class Parser
                 case 'f':
                     break;
                 case 'u':
-                    // Exporters never emit \u escapes; accept and
-                    // keep the raw digits.
-                    if (pos_ + 4 > text_.size())
-                        fail("bad \\u escape");
-                    v->str += text_.substr(pos_, 4);
-                    pos_ += 4;
+                    // Exporters emit \u only for ASCII control
+                    // characters; anything wider keeps its digits.
+                    v->str += parseUnicodeEscape();
                     break;
                 default:
                     fail("bad escape");
                 }
+            } else if (static_cast<unsigned char>(c) < 0x20) {
+                fail("unescaped control character in string");
             } else {
                 v->str += c;
             }
         }
         return v;
+    }
+
+    /** The four hex digits after "\\u": the ASCII character they name,
+     *  else the digits themselves. */
+    std::string
+    parseUnicodeEscape()
+    {
+        if (pos_ + 4 > text_.size())
+            fail("bad \\u escape");
+        std::string digits(text_.substr(pos_, 4));
+        pos_ += 4;
+        unsigned code = 0;
+        for (char d : digits) {
+            if (!std::isxdigit(static_cast<unsigned char>(d)))
+                fail("bad \\u escape");
+            code = code * 16
+                + static_cast<unsigned>(std::isdigit(
+                                            static_cast<unsigned char>(d))
+                                            ? d - '0'
+                                            : std::tolower(d) - 'a' + 10);
+        }
+        if (code < 0x80)
+            return std::string(1, static_cast<char>(code));
+        return digits;
     }
 
     ValuePtr

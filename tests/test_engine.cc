@@ -219,8 +219,9 @@ TEST_F(EngineTest, ResponseRoutedUpstreamViaRecord)
     sip::SipMessage ok = sip::buildResponse(fwd, 200, "bt");
     auto actions = handle(ok.serialize(), bobAddr);
     ASSERT_EQ(actions.size(), 1u);
+    // Back to the INVITE's source: alice's address, no connection.
     EXPECT_EQ(actions[0].dstAddr, aliceAddr);
-    EXPECT_TRUE(actions[0].toUpstream);
+    EXPECT_EQ(actions[0].dstConnId, 0u);
     auto out = sip::parseMessage(actions[0].wire);
     ASSERT_TRUE(out.ok);
     // Proxy's Via was popped: one Via remains (alice's).

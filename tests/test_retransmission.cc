@@ -208,8 +208,9 @@ TEST_F(TimerBTest, TimeoutGenerates408ToCaller)
     ASSERT_TRUE(to.invite);
     auto actions = timeout(to);
     ASSERT_EQ(actions.size(), 1u);
+    // Back to the INVITE's source: alice's address, no connection.
     EXPECT_EQ(actions[0].dstAddr, aliceAddr);
-    EXPECT_TRUE(actions[0].toUpstream);
+    EXPECT_EQ(actions[0].dstConnId, 0u);
     auto rsp = sip::parseMessage(actions[0].wire);
     ASSERT_TRUE(rsp.ok);
     EXPECT_EQ(rsp.message.statusCode(), sip::status::kRequestTimeout);

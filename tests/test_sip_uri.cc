@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sip/message.hh"
 #include "sip/uri.hh"
 
 namespace {
@@ -100,6 +101,40 @@ TEST(SipUriTest, DefaultPortAppliedInAddrMapping)
     auto addr = addrFromUri(*uri);
     ASSERT_TRUE(addr);
     EXPECT_EQ(addr->port, 5060);
+}
+
+TEST(SipUriTest, NameAddrDecoding)
+{
+    auto bracketed = uriFromNameAddr("<sip:x>;tag=y");
+    ASSERT_TRUE(bracketed);
+    EXPECT_EQ(bracketed->host, "x");
+    EXPECT_TRUE(bracketed->params.empty());
+
+    auto bare = uriFromNameAddr("sip:x;tag=y");
+    ASSERT_TRUE(bare);
+    EXPECT_EQ(bare->host, "x");
+    EXPECT_TRUE(bare->params.empty());
+
+    auto named = uriFromNameAddr("Alice <sip:alice@h4:5070>;tag=1");
+    ASSERT_TRUE(named);
+    EXPECT_EQ(named->user, "alice");
+    EXPECT_EQ(addrFromUri(*named), (net::Addr{4, 5070}));
+
+    EXPECT_FALSE(uriFromNameAddr("<sip:x;tag=y"));
+}
+
+TEST(SipUriTest, ViaAddrMapping)
+{
+    Via via;
+    via.host = "h7";
+    via.port = 5070;
+    EXPECT_EQ(addrFromVia(via), (net::Addr{7, 5070}));
+    via.port = 0;
+    EXPECT_EQ(addrFromVia(via), (net::Addr{7, 5060}));
+
+    via.host = "proxy.example.com";
+    EXPECT_FALSE(addrFromVia(via));
+    EXPECT_FALSE(addrFromVia(std::nullopt));
 }
 
 } // namespace

@@ -143,6 +143,48 @@ TEST(ExplainTest, RanksBlockingWaitsAndFindsSaturationBeforeCollapse)
     EXPECT_EQ(doc->at("goodput").at("collapseWindow").number, 3.0);
 }
 
+// Names are free text (scenario, machine, cost-center and counter
+// names): a tab, newline or other control character in one must come
+// out escaped, or the artifact is not JSON.
+constexpr char kOddName[] = "odd\tname\n\x01";
+
+TEST(JsonEscapingTest, MetricsSnapshotEscapesControlCharacters)
+{
+    MetricsRegistry reg;
+    reg.setCounter(kOddName, 3);
+    reg.setGauge(kOddName, 0.5);
+    auto doc = testjson::parse(reg.snapshot().toJson());
+    EXPECT_EQ(doc->at("counters").at(kOddName).number, 3.0);
+    EXPECT_EQ(doc->at("gauges").at(kOddName).number, 0.5);
+}
+
+TEST(JsonEscapingTest, TimeSeriesEscapesControlCharacters)
+{
+    TimeSeries ts(kOddName, 7, sim::msecs(100), "UDP");
+    Series &s = ts.add(kOddName, 0, "symmetric", "UDP");
+    s.beginWindow(0);
+    s.counter(kOddName, 4);
+    s.gauge(kOddName, 1.5);
+    s.finish(sim::msecs(100));
+    auto doc = testjson::parse(ts.toJson());
+    EXPECT_EQ(doc->at("meta").at("scenario").str, kOddName);
+    const auto &series = *doc->at("series").items.at(0);
+    EXPECT_EQ(series.at("machine").str, kOddName);
+    EXPECT_EQ(series.at("totals").at(kOddName).number, 4.0);
+}
+
+TEST(JsonEscapingTest, ExplainReportEscapesControlCharacters)
+{
+    TimeSeries ts = syntheticSeries();
+    ExplainReport rep = explain(ts);
+    rep.scenario = kOddName;
+    rep.machines.at(0).machine = kOddName;
+    auto doc = testjson::parse(rep.toJson());
+    EXPECT_EQ(doc->at("scenario").str, kOddName);
+    EXPECT_EQ(doc->at("machines").items.at(0)->at("machine").str,
+              kOddName);
+}
+
 TEST(ExplainTest, WarmupAndMeasurePhasesSplitOnMeasureStart)
 {
     TimeSeries ts = syntheticSeries();

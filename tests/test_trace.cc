@@ -195,6 +195,38 @@ TEST(RecorderTest, JsonExportIsWellFormed)
     EXPECT_TRUE(saw_instant);
 }
 
+TEST(RecorderTest, JsonExportEscapesControlCharacters)
+{
+    const std::string odd = "odd\tname\n\x01";
+    TraceGuard guard;
+    tr::Recorder rec;
+    tr::setRecorder(&rec);
+
+    Simulation sim;
+    MachineConfig cfg;
+    cfg.sched.ctxSwitchCost = 0;
+    auto &m = sim.addMachine(odd, 1, cfg);
+    m.spawn("worker", 0, [](Process &p) { return spannedWork(p); });
+    sim.run();
+    rec.instant(odd, usecs(1));
+    tr::setRecorder(nullptr);
+
+    std::ostringstream os;
+    rec.writeJson(os);
+    auto doc = siprox::testjson::parse(os.str());
+    bool saw_machine = false, saw_instant = false;
+    for (const auto &ev : doc->at("traceEvents").items) {
+        const auto &e = *ev;
+        if (e.at("ph").str == "M" && e.at("name").str == "process_name"
+            && e.at("args").at("name").str == odd)
+            saw_machine = true;
+        if (e.at("ph").str == "i" && e.at("name").str == odd)
+            saw_instant = true;
+    }
+    EXPECT_TRUE(saw_machine);
+    EXPECT_TRUE(saw_instant);
+}
+
 TEST(RecorderTest, EventCapCountsDropsButKeepsAggregatesExact)
 {
     TraceGuard guard;
