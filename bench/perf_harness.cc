@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -260,44 +261,65 @@ runSweep(const char *name, core::Transport transport, int clients,
  * each run in a forked child so neither inherits the other's heap
  * high-water mark; the growth of the children's peak RSS over the
  * phones added is the marginal cost of one phone (its frames, queues
- * and sockets plus its share of the proxy's per-user state). Forked
- * before anything else runs, so both children start from the same
- * small parent.
+ * and sockets plus its share of the proxy's per-user state), and the
+ * growth of their coroutine-frame peak (mem.framePoolPeakBytes) is the
+ * frames' part of it. Forked before anything else runs, so both
+ * children start from the same small parent.
  */
 struct Footprint
 {
     int phones[2] = {0, 0};
     long peakRssKb[2] = {0, 0};
+    std::uint64_t framePoolPeakBytes[2] = {0, 0};
     double kbPerPhone = 0;
+    double frameKbPerPhone = 0;
 };
 
-long
-childPeakRssKb(int clients)
+/** Run one fleet of @p clients call pairs in a child; fills @p fp's
+ *  slot @p i with the child's peak RSS and frame-pool peak. */
+void
+measureFleet(int clients, Footprint &fp, int i)
 {
+    int fds[2];
+    if (pipe(fds) != 0) {
+        std::perror("pipe");
+        std::exit(1);
+    }
     const pid_t pid = fork();
     if (pid < 0) {
         std::perror("fork");
         std::exit(1);
     }
     if (pid == 0) {
+        close(fds[0]);
         workload::Scenario sc =
             workload::paperScenario(core::Transport::Udp, clients, 0);
         sc.callsPerClient = 1;
         sc.seed = 1;
         workload::RunResult r = workload::runScenario(sc);
-        _exit(r.callsCompleted == static_cast<std::uint64_t>(clients)
+        const bool sent = write(fds[1], &r.memFramePoolPeak,
+                                sizeof r.memFramePoolPeak)
+            == sizeof r.memFramePoolPeak;
+        _exit(sent
+                      && r.callsCompleted
+                          == static_cast<std::uint64_t>(clients)
                   ? 0
                   : 1);
     }
+    close(fds[1]);
     int status = 0;
     struct rusage ru;
     if (wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status)
-        || WEXITSTATUS(status) != 0) {
+        || WEXITSTATUS(status) != 0
+        || read(fds[0], &fp.framePoolPeakBytes[i],
+                sizeof fp.framePoolPeakBytes[i])
+            != sizeof fp.framePoolPeakBytes[i]) {
         std::fprintf(stderr, "footprint child (%d clients) failed\n",
                      clients);
         std::exit(1);
     }
-    return ru.ru_maxrss;
+    close(fds[0]);
+    fp.peakRssKb[i] = ru.ru_maxrss;
 }
 
 Footprint
@@ -307,10 +329,15 @@ measureFootprint(bool smoke)
     const int clients[2] = {smoke ? 100 : 500, smoke ? 300 : 2500};
     for (int i = 0; i < 2; ++i) {
         f.phones[i] = 2 * clients[i];
-        f.peakRssKb[i] = childPeakRssKb(clients[i]);
+        measureFleet(clients[i], f, i);
     }
-    f.kbPerPhone = static_cast<double>(f.peakRssKb[1] - f.peakRssKb[0])
-        / (f.phones[1] - f.phones[0]);
+    const double added = f.phones[1] - f.phones[0];
+    f.kbPerPhone =
+        static_cast<double>(f.peakRssKb[1] - f.peakRssKb[0]) / added;
+    f.frameKbPerPhone =
+        (static_cast<double>(f.framePoolPeakBytes[1])
+         - static_cast<double>(f.framePoolPeakBytes[0]))
+        / 1024.0 / added;
     return f;
 }
 
@@ -356,9 +383,14 @@ writeMetrics(std::FILE *f, const std::vector<Micro> &micros,
     }
     std::fprintf(f,
                  "  },\n  \"phone_footprint\": {\"phones\": [%d, %d], "
-                 "\"peak_rss_kb\": [%ld, %ld], \"kb_per_phone\": %.2f},\n",
+                 "\"peak_rss_kb\": [%ld, %ld], \"kb_per_phone\": %.2f, "
+                 "\"frame_pool_peak_kb\": [%.1f, %.1f], "
+                 "\"frame_kb_per_phone\": %.2f},\n",
                  fp.phones[0], fp.phones[1], fp.peakRssKb[0],
-                 fp.peakRssKb[1], fp.kbPerPhone);
+                 fp.peakRssKb[1], fp.kbPerPhone,
+                 static_cast<double>(fp.framePoolPeakBytes[0]) / 1024.0,
+                 static_cast<double>(fp.framePoolPeakBytes[1]) / 1024.0,
+                 fp.frameKbPerPhone);
     std::fprintf(f, "  \"peak_rss_kb\": %ld\n}", peakRssKb());
 }
 
@@ -500,9 +532,11 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(s.ops),
                      s.allocsPerOp);
     }
-    std::fprintf(stderr, "phone footprint %.2f KB/phone (%d -> %d phones)\n",
-                 footprint.kbPerPhone, footprint.phones[0],
-                 footprint.phones[1]);
+    std::fprintf(stderr,
+                 "phone footprint %.2f KB/phone, frames %.2f KB/phone "
+                 "(%d -> %d phones)\n",
+                 footprint.kbPerPhone, footprint.frameKbPerPhone,
+                 footprint.phones[0], footprint.phones[1]);
     std::fprintf(stderr, "peak RSS %ld KB -> %s\n", peakRssKb(),
                  out_path);
     return 0;

@@ -12,17 +12,6 @@ namespace {
 /** Re-check period of a forward parked by the hop gate's hold. */
 constexpr sim::SimTime kHopHoldTick = sim::msecs(10);
 
-/** A 503 answering @p req that asks the caller to wait @p retry_after
- *  seconds (RFC 3261 §21.5.4). */
-sip::SipMessage
-serviceUnavailable(const sip::SipMessage &req, int retry_after)
-{
-    sip::SipMessage rsp =
-        sip::buildResponse(req, sip::status::kServiceUnavailable);
-    rsp.addHeader("Retry-After", std::to_string(retry_after));
-    return rsp;
-}
-
 } // namespace
 
 const char *
@@ -224,11 +213,43 @@ Engine::challenge(const sip::SipMessage &req)
     return rsp;
 }
 
+std::string
+Engine::forwardWire(const sip::SipMessage &req, int max_forwards,
+                    const sip::SipUri &target,
+                    const std::string &branch) const
+{
+    sip::SipMessage fwd = req;
+    fwd.setMaxForwards(max_forwards);
+    fwd.setRequestUri(target);
+    sip::Via via;
+    via.transport = viaTransport();
+    via.host = viaHost_;
+    via.port = proxyAddr_.port;
+    via.branch = branch;
+    fwd.prependVia(via);
+    return fwd.serialize();
+}
+
 sim::Task
 Engine::reply(sim::Process &p, const sip::SipMessage &req, int status,
-              MsgSource src, std::vector<SendAction> *out)
+              MsgSource src, std::vector<SendAction> *out,
+              const sip::SipUri *contact)
 {
-    return replyTo(p, sip::buildResponse(req, status), src, out);
+    return replyTo(p,
+                   sip::buildResponse(req, status, "",
+                                      contact ? std::optional(*contact)
+                                              : std::nullopt),
+                   src, out);
+}
+
+sim::Task
+Engine::reject(sim::Process &p, const sip::SipMessage &req,
+               int retry_after, MsgSource src, std::vector<SendAction> *out)
+{
+    sip::SipMessage rsp =
+        sip::buildResponse(req, sip::status::kServiceUnavailable);
+    rsp.addHeader("Retry-After", std::to_string(retry_after));
+    return replyTo(p, std::move(rsp), src, out);
 }
 
 sim::Task
@@ -363,9 +384,8 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
         }
         if (gate == HopThrottleTable::Gate::Busy) {
             ++shared_.counters.hopThrottleRejects;
-            co_await replyTo(
-                p, serviceUnavailable(msg, cfg_.overload.hop.retryAfterSecs),
-                src, out);
+            co_await reject(p, msg, cfg_.overload.hop.retryAfterSecs, src,
+                            out);
             co_return;
         }
         // Window admits reserve a pending slot; remember to release it
@@ -384,9 +404,8 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             if (hop_gated)
                 shared_.hopGate.noteAborted(cfg_.nextHop);
             if (adm == OverloadController::Admission::Reject) {
-                co_await replyTo(
-                    p, serviceUnavailable(msg, cfg_.overload.retryAfterSecs),
-                    src, out);
+                co_await reject(p, msg, cfg_.overload.retryAfterSecs, src,
+                                out);
             }
             co_return;
         }
@@ -477,10 +496,8 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
     // transaction by handing the caller the registered contact.
     if (cfg_.redirect && is_invite) {
         ++shared_.counters.redirects;
-        co_await replyTo(p,
-                         sip::buildResponse(
-                             msg, sip::status::kMovedTemporarily, "", target),
-                         src, out);
+        co_await reply(p, msg, sip::status::kMovedTemporarily, src, out,
+                       &target);
         co_return;
     }
 
@@ -492,54 +509,50 @@ Engine::handleRequest(sim::Process &p, sip::SipMessage msg,
             shared_.hopGate.noteAborted(cfg_.nextHop);
         co_return; // loop guard: drop
     }
-    sip::SipMessage fwd = msg;
-    fwd.setMaxForwards(mf - 1);
-    fwd.setRequestUri(target);
-    std::string branch = branches_.next();
-    sip::Via via;
-    via.transport = viaTransport();
-    via.host = viaHost_;
-    via.port = proxyAddr_.port;
-    via.branch = branch;
-    fwd.prependVia(via);
+    // The message is rendered before the serialize charge: building
+    // it in a plain function keeps the copy out of this frame.
+    sip::TransactionKey client_key{branches_.next(),
+                                   is_ack ? sip::Method::Ack
+                                          : msg.method()};
+    std::string wire =
+        forwardWire(msg, mf - 1, target, client_key.branch);
     co_await p.cpu(scaled(cfg_.costs.serialize), ccBuild_);
-    std::string wire = fwd.serialize();
 
     // --- transaction state -------------------------------------------------
-    sip::TransactionKey client_key{branch, is_ack ? sip::Method::Ack
-                                                  : msg.method()};
     if (stateful && key && !is_ack) {
-        TxnRecord record;
-        record.serverKey = *key;
-        record.clientKey = client_key;
-        record.method = msg.method();
-        record.upstreamAddr = src.addr;
-        record.upstreamConnId = src.connId;
-        record.createdAt = p.sim().now();
-        record.hopGated = hop_gated;
-        hop_gated = false; // the record now owns the window slot
-        // The TRYING absorbs caller-side INVITE retransmissions until
-        // a downstream response replaces it.
-        record.lastResponse = trying_wire;
+        const sim::SimTime created = p.sim().now();
         co_await shared_.txns.lock().acquire(p);
         co_await p.cpu(scaled(cfg_.costs.txnCreate), ccTm_);
-        shared_.txns.insert(std::move(record));
+        // The TRYING absorbs caller-side INVITE retransmissions until
+        // a downstream response replaces it.
+        shared_.txns.insert(TxnRecord{
+            .serverKey = *key,
+            .clientKey = client_key,
+            .method = msg.method(),
+            .upstreamAddr = src.addr,
+            .upstreamConnId = src.connId,
+            .createdAt = created,
+            .hopGated = hop_gated,
+            .lastResponse = std::move(trying_wire),
+        });
+        hop_gated = false; // the record now owns the window slot
         shared_.txns.lock().release();
 
         if (unreliable()) {
             // The proxy now owns retransmission (§2): arm a timer on
             // the global list for the forwarded request.
-            RetransList::Entry entry;
-            entry.key = client_key;
-            entry.wire = wire;
-            entry.dst = *dst;
-            entry.interval = sip::timers::kT1;
-            entry.nextAt = p.sim().now() + sip::timers::kT1;
-            entry.deadline = p.sim().now() + sip::timers::kTimerB;
-            entry.invite = is_invite;
+            const sim::SimTime armed = p.sim().now();
             co_await shared_.retrans.lock().acquire(p);
             co_await p.cpu(cfg_.costs.timerArm, ccTimer_);
-            shared_.retrans.arm(std::move(entry));
+            shared_.retrans.arm(RetransList::Entry{
+                .key = client_key,
+                .wire = wire,
+                .dst = *dst,
+                .nextAt = armed + sip::timers::kT1,
+                .interval = sip::timers::kT1,
+                .deadline = armed + sip::timers::kTimerB,
+                .invite = is_invite,
+            });
             shared_.retrans.lock().release();
         }
     }

@@ -108,13 +108,26 @@ class Engine
     sim::Task replyTo(sim::Process &p, sip::SipMessage rsp, MsgSource src,
                       std::vector<SendAction> *out);
 
-    /** replyTo() with the bare @p status response to @p req. A plain
-     *  function returning replyTo's task: the response is built here
-     *  and moved into that frame, so the awaiting handler keeps no
-     *  copy in its own. */
+    /** replyTo() with the bare @p status response to @p req (naming
+     *  @p contact, for a redirect). A plain function returning
+     *  replyTo's task: the response is built here and moved into that
+     *  frame, so the awaiting handler keeps no copy in its own. */
     sim::Task reply(sim::Process &p, const sip::SipMessage &req,
                     int status, MsgSource src,
-                    std::vector<SendAction> *out);
+                    std::vector<SendAction> *out,
+                    const sip::SipUri *contact = nullptr);
+
+    /** reply() with a 503 asking the caller to wait @p retry_after
+     *  seconds (RFC 3261 §21.5.4). */
+    sim::Task reject(sim::Process &p, const sip::SipMessage &req,
+                     int retry_after, MsgSource src,
+                     std::vector<SendAction> *out);
+
+    /** The forwarded copy of @p req: Max-Forwards @p max_forwards,
+     *  aimed at @p target, under this hop's Via with @p branch. */
+    std::string forwardWire(const sip::SipMessage &req, int max_forwards,
+                            const sip::SipUri &target,
+                            const std::string &branch) const;
 
     /** The 401 digest challenge to @p req, with a fresh nonce. */
     sip::SipMessage challenge(const sip::SipMessage &req);

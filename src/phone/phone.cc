@@ -72,28 +72,27 @@ class Phone::Link
         sim::SimTime deadline = timeout == sim::kTimeNever
             ? sim::kTimeNever
             : p.sim().now() + timeout;
-        std::vector<sim::Pollable *> items;
         while (ready_.empty()) {
-            items.clear();
+            items_.clear();
             if (dgram_)
-                items.push_back(dgram_);
+                items_.push_back(dgram_);
             if (active_)
-                items.push_back(&active_->conn.readable());
+                items_.push_back(&active_->conn.readable());
             for (auto &z : zombies_)
-                items.push_back(&z->conn.readable());
+                items_.push_back(&z->conn.readable());
             sim::SimTime budget = deadline == sim::kTimeNever
                 ? sim::kTimeNever
                 : deadline - p.sim().now();
             if (deadline != sim::kTimeNever && budget <= 0)
                 co_return; // timeout
-            if (items.empty()) {
+            if (items_.empty()) {
                 // No open flow: wait out the budget.
                 if (deadline == sim::kTimeNever)
                     co_return;
                 co_await p.sleepFor(budget);
                 co_return;
             }
-            co_await sim::poll(p, items, budget, polled_);
+            co_await sim::poll(p, items_, budget, polled_);
             if (polled_.empty())
                 co_return; // timeout
             co_await harvest(p);
@@ -208,7 +207,9 @@ class Phone::Link
     std::unique_ptr<core::FramedConn> active_;
     std::vector<std::unique_ptr<core::FramedConn>> zombies_;
     sim::Fifo<std::string> ready_;
-    /** poll()'s ready set, kept so each poll reuses its storage. */
+    /** poll()'s flows and its ready set, kept so each poll reuses
+     *  their storage. */
+    std::vector<sim::Pollable *> items_;
     std::vector<int> polled_;
 };
 
@@ -304,24 +305,13 @@ sim::Task
 Phone::doRegister(sim::Process &p, bool *ok)
 {
     *ok = false;
-    sip::RequestSpec spec;
-    spec.method = sip::Method::Register;
-    spec.requestUri = sip::uriForAddr("", cfg_.proxyAddr);
-    spec.from = contactUri();
-    spec.to = sip::uriForAddr(cfg_.user, cfg_.proxyAddr);
-    spec.fromTag = cfg_.user + "-reg";
-    spec.callId = cfg_.user + "-reg-"
-        + std::to_string(stats_.registers);
-    spec.cseq = ++cseq_;
-    spec.viaTransport = core::transportName(cfg_.transport);
-    spec.viaSentBy = contactUri();
-    spec.branch = branches_.next();
-    spec.contact = contactUri();
-
+    sip::RequestSpec spec =
+        newRequest(sip::Method::Register, "", cfg_.user,
+                   cfg_.user + "-reg",
+                   cfg_.user + "-reg-" + std::to_string(stats_.registers));
     requestDst_ = net::Addr{}; // registrations always go to the proxy
     std::optional<sip::SipMessage> rsp;
-    sip::SipMessage sent_req;
-    co_await transact(p, std::move(spec), &rsp, &sent_req);
+    co_await transact(p, &spec, &rsp);
     if (rsp && rsp->isSuccess()) {
         ++stats_.registers;
         *ok = true;
@@ -329,13 +319,12 @@ Phone::doRegister(sim::Process &p, bool *ok)
 }
 
 sim::Task
-Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
+Phone::awaitFinal(sim::Process &p, const std::string &wire,
                   const std::string &call_id, sip::Method method,
                   std::optional<sip::SipMessage> *out)
 {
     out->reset();
     const bool udp = cfg_.transport == core::Transport::Udp;
-    const std::string wire = request.serialize();
     sim::SimTime deadline = p.sim().now() + cfg_.responseTimeout;
     sim::SimTime interval =
         udp ? sip::timers::kT1 : cfg_.responseTimeout;
@@ -362,26 +351,15 @@ Phone::awaitFinal(sim::Process &p, const sip::SipMessage &request,
             continue;
         }
         co_await p.cpu(cfg_.processCost, kPhoneCc);
-        auto parsed = sip::parseMessage(raw);
-        if (!parsed.ok)
-            continue;
-        sip::SipMessage &msg = parsed.message;
-        if (msg.isRequest()) {
-            // Do not drop requests racing a response (e.g. the next
-            // INVITE arriving during a post-reconnect REGISTER).
-            pendingRequests_.push_back(std::move(raw));
-            continue;
-        }
-        auto cseq = msg.cseq();
-        if (msg.callId() != call_id || !cseq
-            || cseq->method != method)
-            continue;
-        if (msg.isProvisional()) {
+        switch (classify(std::move(raw), call_id, method, out)) {
+          case Reply::Ignore:
+            break;
+          case Reply::Provisional:
             got_provisional = true;
-            continue;
+            break;
+          case Reply::Final:
+            co_return;
         }
-        *out = std::move(msg);
-        co_return;
     }
 }
 
@@ -417,28 +395,19 @@ nonceFrom(const sip::SipMessage &rsp)
 } // namespace
 
 sim::Task
-Phone::transact(sim::Process &p, sip::RequestSpec spec,
-                std::optional<sip::SipMessage> *rsp,
-                sip::SipMessage *sent)
+Phone::transact(sim::Process &p, sip::RequestSpec *spec,
+                std::optional<sip::SipMessage> *rsp)
 {
     for (int attempt = 0; attempt < 2; ++attempt) {
-        sip::SipMessage msg = sip::buildRequest(spec);
-        if (!authNonce_.empty()) {
-            msg.setHeader("Authorization",
-                          "Digest username=\"" + cfg_.user
-                              + "\", nonce=\"" + authNonce_
-                              + "\", response=\"0badcafe\"");
-        }
-        *sent = msg;
+        const std::string wire = signedWire(*spec);
         co_await p.cpu(cfg_.processCost, kPhoneCc);
         bool send_ok = false;
-        co_await link_->send(p, msg.serialize(), &send_ok,
-                             requestDst_);
+        co_await link_->send(p, wire, &send_ok, requestDst_);
         if (!send_ok) {
             rsp->reset();
             co_return;
         }
-        co_await awaitFinal(p, msg, spec.callId, spec.method, rsp);
+        co_await awaitFinal(p, wire, spec->callId, spec->method, rsp);
         if (!*rsp
             || (*rsp)->statusCode() != sip::status::kUnauthorized) {
             co_return;
@@ -446,8 +415,8 @@ Phone::transact(sim::Process &p, sip::RequestSpec spec,
         // Digest challenge: remember the nonce and retry with
         // credentials and an incremented CSeq (RFC 2617).
         authNonce_ = nonceFrom(**rsp);
-        spec.cseq = ++cseq_;
-        spec.branch = branches_.next();
+        spec->cseq = ++cseq_;
+        spec->branch = branches_.next();
     }
     rsp->reset(); // challenged twice: give up
 }
@@ -457,97 +426,184 @@ Phone::placeCall(sim::Process &p, const std::string &callee_user,
                  int call_index, bool *ok)
 {
     *ok = false;
-    const std::string call_id =
-        cfg_.user + "-call-" + std::to_string(call_index);
+    sip::RequestSpec spec = newRequest(
+        sip::Method::Invite, callee_user, callee_user,
+        cfg_.user + "-" + std::to_string(call_index),
+        cfg_.user + "-call-" + std::to_string(call_index));
 
     // End-to-end causal span: the Call-ID minted here is the trace id
     // every hop (transport, kernel queue, worker, timer) joins on.
     sim::SpanScope call_span(p);
     if (auto *s = call_span.ctx()) {
-        s->traceId = sim::trace::traceIdFor(call_id);
-        s->callId = call_id;
+        s->traceId = sim::trace::traceIdFor(spec.callId);
+        s->callId = spec.callId;
         s->label = "call";
     }
 
     // --- INVITE transaction ---------------------------------------------
-    sip::RequestSpec spec;
-    spec.method = sip::Method::Invite;
-    spec.requestUri = sip::uriForAddr(callee_user, cfg_.proxyAddr);
-    spec.from = contactUri();
-    spec.to = sip::uriForAddr(callee_user, cfg_.proxyAddr);
-    spec.fromTag = cfg_.user + "-" + std::to_string(call_index);
-    spec.callId = call_id;
-    spec.cseq = ++cseq_;
-    spec.viaTransport = core::transportName(cfg_.transport);
-    spec.viaSentBy = contactUri();
-    spec.branch = branches_.next();
-    spec.contact = contactUri();
-
     sim::SimTime t0 = p.sim().now();
     requestDst_ = net::Addr{}; // each call starts at the proxy
-    std::optional<sip::SipMessage> final_rsp;
-    sip::SipMessage invite;
-    co_await transact(p, spec, &final_rsp, &invite);
+    std::optional<sip::SipMessage> rsp;
+    co_await transact(p, &spec, &rsp);
 
-    if (final_rsp
-        && final_rsp->statusCode() == sip::status::kMovedTemporarily
+    if (rsp && rsp->statusCode() == sip::status::kMovedTemporarily
         && !core::isStreamTransport(cfg_.transport)) {
-        // Redirect server (paper Â§2): re-issue the INVITE straight to
+        // Redirect server (paper §2): re-issue the INVITE straight to
         // the contact; the rest of the call bypasses the server.
-        auto contact = final_rsp->contactUri();
-        auto direct = contact ? sip::addrFromUri(*contact)
-                              : std::nullopt;
-        if (!direct)
+        if (!redirect(spec, *rsp))
             co_return;
-        requestDst_ = *direct;
-        spec.requestUri = *contact;
-        spec.cseq = ++cseq_;
-        spec.branch = branches_.next();
-        co_await transact(p, spec, &final_rsp, &invite);
+        co_await transact(p, &spec, &rsp);
     }
-    if (final_rsp
-        && final_rsp->statusCode() == sip::status::kServiceUnavailable) {
-        // Overload rejection: note the requested backoff; callerMain
-        // sleeps it off between calls instead of hammering the proxy.
-        ++stats_.rejected503;
-        pendingBackoff_ = retryAfterOf(*final_rsp);
-    }
-    if (!final_rsp || !final_rsp->isSuccess())
+    if (!succeeded(rsp))
         co_return;
 
     // ACK (end-to-end for 2xx: routed via the proxy to the contact,
     // or straight to the callee after a redirect).
-    sip::SipMessage ack =
-        sip::buildAck(invite, *final_rsp, branches_.next());
-    if (auto contact = final_rsp->contactUri())
-        ack.setRequestUri(*contact);
+    std::string ack = ackWire(spec, *rsp);
     co_await p.cpu(cfg_.processCost, kPhoneCc);
     bool sent = false;
-    co_await link_->send(p, ack.serialize(), &sent, requestDst_);
+    co_await link_->send(p, std::move(ack), &sent, requestDst_);
     if (cfg_.inviteLatency)
         cfg_.inviteLatency->record(p.sim().now() - t0);
     opDone(p.sim().now());
 
     // --- BYE transaction ------------------------------------------------
-    sip::RequestSpec bye_spec = spec;
-    bye_spec.method = sip::Method::Bye;
-    if (auto contact = final_rsp->contactUri())
-        bye_spec.requestUri = *contact;
-    bye_spec.cseq = ++cseq_;
-    bye_spec.branch = branches_.next();
-    bye_spec.contact.reset();
-    std::optional<sip::SipMessage> bye_rsp;
-    sip::SipMessage bye;
-    co_await transact(p, std::move(bye_spec), &bye_rsp, &bye);
-    if (bye_rsp
-        && bye_rsp->statusCode() == sip::status::kServiceUnavailable) {
-        ++stats_.rejected503;
-        pendingBackoff_ = retryAfterOf(*bye_rsp);
-    }
-    if (!bye_rsp || !bye_rsp->isSuccess())
+    toBye(spec, *rsp);
+    co_await transact(p, &spec, &rsp);
+    if (!succeeded(rsp))
         co_return;
     opDone(p.sim().now());
     *ok = true;
+}
+
+// ---------------------------------------------------------------------------
+// Message building
+// ---------------------------------------------------------------------------
+
+sip::RequestSpec
+Phone::newRequest(sip::Method method, const std::string &uri_user,
+                  const std::string &to_user, std::string from_tag,
+                  std::string call_id)
+{
+    sip::RequestSpec spec;
+    spec.method = method;
+    spec.requestUri = sip::uriForAddr(uri_user, cfg_.proxyAddr);
+    spec.from = contactUri();
+    spec.to = sip::uriForAddr(to_user, cfg_.proxyAddr);
+    spec.fromTag = std::move(from_tag);
+    spec.callId = std::move(call_id);
+    spec.cseq = ++cseq_;
+    spec.viaTransport = core::transportName(cfg_.transport);
+    spec.viaSentBy = contactUri();
+    spec.branch = branches_.next();
+    spec.contact = contactUri();
+    return spec;
+}
+
+std::string
+Phone::signedWire(const sip::RequestSpec &spec) const
+{
+    sip::SipMessage msg = sip::buildRequest(spec);
+    if (!authNonce_.empty()) {
+        msg.setHeader("Authorization",
+                      "Digest username=\"" + cfg_.user + "\", nonce=\""
+                          + authNonce_ + "\", response=\"0badcafe\"");
+    }
+    return msg.serialize();
+}
+
+bool
+Phone::redirect(sip::RequestSpec &spec, const sip::SipMessage &rsp)
+{
+    auto contact = rsp.contactUri();
+    auto direct = contact ? sip::addrFromUri(*contact) : std::nullopt;
+    if (!direct)
+        return false;
+    requestDst_ = *direct;
+    spec.requestUri = *contact;
+    spec.cseq = ++cseq_;
+    spec.branch = branches_.next();
+    return true;
+}
+
+std::string
+Phone::ackWire(const sip::RequestSpec &spec, const sip::SipMessage &final)
+{
+    sip::SipMessage ack = sip::buildAck(spec, final, branches_.next());
+    if (auto contact = final.contactUri())
+        ack.setRequestUri(*contact);
+    return ack.serialize();
+}
+
+void
+Phone::toBye(sip::RequestSpec &spec, const sip::SipMessage &final)
+{
+    spec.method = sip::Method::Bye;
+    if (auto contact = final.contactUri())
+        spec.requestUri = *contact;
+    spec.cseq = ++cseq_;
+    spec.branch = branches_.next();
+    spec.contact.reset();
+}
+
+bool
+Phone::succeeded(const std::optional<sip::SipMessage> &rsp)
+{
+    if (rsp && rsp->statusCode() == sip::status::kServiceUnavailable) {
+        // Overload rejection: note the requested backoff; callerMain
+        // sleeps it off between calls instead of hammering the proxy.
+        ++stats_.rejected503;
+        pendingBackoff_ = retryAfterOf(*rsp);
+    }
+    return rsp && rsp->isSuccess();
+}
+
+Phone::Reply
+Phone::classify(std::string raw, const std::string &call_id,
+                sip::Method method, std::optional<sip::SipMessage> *out)
+{
+    auto parsed = sip::parseMessage(raw);
+    if (!parsed.ok)
+        return Reply::Ignore;
+    sip::SipMessage &msg = parsed.message;
+    if (msg.isRequest()) {
+        // Do not drop requests racing a response (e.g. the next
+        // INVITE arriving during a post-reconnect REGISTER).
+        pendingRequests_.push_back(std::move(raw));
+        return Reply::Ignore;
+    }
+    auto cseq = msg.cseq();
+    if (msg.callId() != call_id || !cseq || cseq->method != method)
+        return Reply::Ignore;
+    if (msg.isProvisional())
+        return Reply::Provisional;
+    *out = std::move(msg);
+    return Reply::Final;
+}
+
+bool
+Phone::readRequest(std::string raw, const std::string &to_tag,
+                   Incoming *in) const
+{
+    auto parsed = sip::parseOwned(std::move(raw));
+    if (!parsed.ok || !parsed.message.isRequest())
+        return false;
+    const sip::SipMessage &msg = parsed.message;
+    in->method = msg.method();
+    in->callId.assign(msg.callId());
+    in->replyTo = sip::addrFromVia(msg.topVia()).value_or(net::Addr{});
+    if (in->method == sip::Method::Invite) {
+        in->ringing =
+            sip::buildResponse(msg, sip::status::kRinging, to_tag)
+                .serialize();
+        in->ok = sip::buildResponse(msg, sip::status::kOk, to_tag,
+                                    contactUri())
+                     .serialize();
+    } else if (in->method == sip::Method::Bye) {
+        in->ok = sip::buildResponse(msg, sip::status::kOk, to_tag)
+                     .serialize();
+    }
+    return true;
 }
 
 sim::Task
@@ -650,36 +706,25 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             continue;
         }
         co_await p.cpu(cfg_.processCost, kPhoneCc);
-        auto parsed = sip::parseOwned(std::move(raw));
-        if (!parsed.ok || !parsed.message.isRequest())
+        Incoming in;
+        if (!readRequest(std::move(raw), to_tag, &in))
             continue; // stray
-        sip::SipMessage &msg = parsed.message;
-        switch (msg.method()) {
+        switch (in.method) {
           case sip::Method::Invite: {
-            std::string cid(msg.callId());
-            bool duplicate = awaiting_ack && cid == current_call;
-            current_call = cid;
-            // Responses follow the request's top Via: the proxy when
-            // proxied, the caller directly after a redirect.
-            ok200_dst =
-                sip::addrFromVia(msg.topVia()).value_or(net::Addr{});
+            bool duplicate = awaiting_ack && in.callId == current_call;
+            current_call = in.callId;
+            ok200_dst = in.replyTo;
+            bool sent = false;
             if (!duplicate) {
-                sip::SipMessage ringing =
-                    sip::buildResponse(msg, sip::status::kRinging,
-                                       to_tag);
-                bool sent = false;
                 co_await p.cpu(cfg_.processCost, kPhoneCc);
-                co_await link_->send(p, ringing.serialize(), &sent,
+                co_await link_->send(p, std::move(in.ringing), &sent,
                                      ok200_dst);
                 if (cfg_.answerDelay > 0)
                     co_await p.sleepFor(cfg_.answerDelay);
-                sip::SipMessage ok200 = sip::buildResponse(
-                    msg, sip::status::kOk, to_tag, contactUri());
-                ok200_wire = ok200.serialize();
+                ok200_wire = std::move(in.ok);
             } else {
                 ++stats_.retransmissions;
             }
-            bool sent = false;
             co_await p.cpu(cfg_.processCost, kPhoneCc);
             co_await link_->send(p, ok200_wire, &sent, ok200_dst);
             awaiting_ack = true;
@@ -688,7 +733,7 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
             break;
           }
           case sip::Method::Ack: {
-            if (awaiting_ack && msg.callId() == current_call) {
+            if (awaiting_ack && in.callId == current_call) {
                 awaiting_ack = false;
                 retrans_at = sim::kTimeNever;
                 opDone(p.sim().now()); // invite transaction complete
@@ -698,19 +743,15 @@ Phone::calleeMain(sim::Process &p, int expected_calls,
           case sip::Method::Bye: {
             // A BYE implies the ACK made it (or was lost; either way
             // the call is established and now ending).
-            if (awaiting_ack && msg.callId() == current_call) {
+            if (awaiting_ack && in.callId == current_call) {
                 awaiting_ack = false;
                 retrans_at = sim::kTimeNever;
                 opDone(p.sim().now());
             }
-            sip::SipMessage ok = sip::buildResponse(
-                msg, sip::status::kOk, to_tag);
             bool sent = false;
             co_await p.cpu(cfg_.processCost, kPhoneCc);
-            co_await link_->send(
-                p, ok.serialize(), &sent,
-                sip::addrFromVia(msg.topVia()).value_or(net::Addr{}));
-            if (!current_call.empty() && msg.callId() == current_call) {
+            co_await link_->send(p, std::move(in.ok), &sent, in.replyTo);
+            if (!current_call.empty() && in.callId == current_call) {
                 opDone(p.sim().now()); // bye transaction complete
                 ++stats_.callsCompleted;
                 ++completed;

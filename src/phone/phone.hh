@@ -146,22 +146,73 @@ class Phone
                         int call_index, bool *ok);
 
     /**
-     * Build, send, and await the final response for a request,
-     * transparently answering one 401 digest challenge (the request is
-     * resent with credentials and an incremented CSeq).
-     * @param sent Receives the request as last transmitted.
+     * Send the request @p spec describes and await its final response,
+     * transparently answering one 401 digest challenge: the request is
+     * resent with credentials, and @p spec takes the new CSeq and
+     * branch, so it describes the request as last sent.
      */
-    sim::Task transact(sim::Process &p, sip::RequestSpec spec,
-                       std::optional<sip::SipMessage> *rsp,
-                       sip::SipMessage *sent);
+    sim::Task transact(sim::Process &p, sip::RequestSpec *spec,
+                       std::optional<sip::SipMessage> *rsp);
 
     /**
      * Await a response with CSeq method @p method and final/provisional
-     * handling; retransmits @p request on UDP timer T1 backoff.
+     * handling; retransmits @p wire on UDP timer T1 backoff.
      */
-    sim::Task awaitFinal(sim::Process &p, const sip::SipMessage &request,
+    sim::Task awaitFinal(sim::Process &p, const std::string &wire,
                          const std::string &call_id, sip::Method method,
                          std::optional<sip::SipMessage> *out);
+
+    // Message building. Plain functions, not coroutines: a coroutine
+    // keeps every named local, and every temporary of an expression
+    // that awaits, in its frame for the frame's whole life (see
+    // sim/task.hh), so the messages are built here and only their wire
+    // (or the spec a transaction resends) crosses a suspension.
+
+    /** Where an awaited response leaves awaitFinal. */
+    enum class Reply
+    {
+        Ignore,      ///< unparsable, another transaction's, or a request
+        Provisional, ///< a 1xx of the awaited transaction
+        Final,       ///< the awaited final response, moved to *out
+    };
+
+    /** A request the callee loop received, with its replies built. */
+    struct Incoming
+    {
+        sip::Method method = sip::Method::Unknown;
+        std::string callId;
+        /** The top Via: the proxy when proxied, the caller directly
+         *  after a redirect. */
+        net::Addr replyTo;
+        std::string ringing; ///< INVITE: the 180
+        std::string ok;      ///< INVITE, BYE: the 200
+    };
+
+    /** A request to the proxy with the next CSeq and a new branch. */
+    sip::RequestSpec newRequest(sip::Method method,
+                                const std::string &uri_user,
+                                const std::string &to_user,
+                                std::string from_tag, std::string call_id);
+    /** @p spec rendered, with credentials once a challenge set a
+     *  nonce. */
+    std::string signedWire(const sip::RequestSpec &spec) const;
+    /** Point the INVITE @p spec at the contact a 302 names; false if
+     *  it names none. */
+    bool redirect(sip::RequestSpec &spec, const sip::SipMessage &rsp);
+    /** The ACK of the 2xx @p final answering the INVITE @p spec. */
+    std::string ackWire(const sip::RequestSpec &spec,
+                        const sip::SipMessage &final);
+    /** Turn the INVITE @p spec into its dialog's BYE. */
+    void toBye(sip::RequestSpec &spec, const sip::SipMessage &final);
+    /** True on a 2xx; a 503 also sets the Retry-After backoff. */
+    bool succeeded(const std::optional<sip::SipMessage> &rsp);
+    /** awaitFinal's step for one received message @p raw. */
+    Reply classify(std::string raw, const std::string &call_id,
+                   sip::Method method,
+                   std::optional<sip::SipMessage> *out);
+    /** Parse a request for the callee loop; false for a stray. */
+    bool readRequest(std::string raw, const std::string &to_tag,
+                     Incoming *in) const;
 
     /** Mark one operation complete. */
     void opDone(sim::SimTime now);

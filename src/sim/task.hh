@@ -13,6 +13,14 @@
  * not write capturing-lambda coroutines; write named (member) functions
  * taking arguments by value and, if needed, wrap them in a capturing
  * lambda that merely *calls* the coroutine function.
+ *
+ * Frame rule: a coroutine's frame holds every named local of its body,
+ * disjoint scopes included (GCC 12 shares no slot between them), and
+ * the temporaries of every full-expression that contains a co_await,
+ * all for the frame's whole life. Build messages and other large values
+ * in plain functions that return what crosses a suspension (a wire
+ * string, a spec passed on by pointer); the FramePool below recycles
+ * frames only up to 2 KiB.
  */
 
 #ifndef SIPROX_SIM_TASK_HH

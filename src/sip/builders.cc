@@ -67,21 +67,22 @@ buildResponse(const SipMessage &req, int status, const std::string &to_tag,
 }
 
 SipMessage
-buildAck(const SipMessage &invite, const SipMessage &final,
+buildAck(const RequestSpec &invite, const SipMessage &final,
          const std::string &branch)
 {
-    SipMessage ack =
-        SipMessage::request(Method::Ack, invite.requestUri());
-    auto via = invite.topVia().value_or(Via{});
+    SipMessage ack = SipMessage::request(Method::Ack, invite.requestUri);
+    Via via;
+    via.transport = invite.viaTransport;
+    via.host = invite.viaSentBy.host;
+    via.port = invite.viaSentBy.port;
     via.branch = branch;
     ack.addHeader("Via", via.toString());
     ack.addHeader("Max-Forwards", "70");
-    ack.addHeader("From", invite.from());
+    ack.addHeader("From", nameAddr(invite.from, invite.fromTag));
     // The To of the ACK carries the tag from the final response.
     ack.addHeader("To", final.to());
-    ack.addHeader("Call-ID", invite.callId());
-    auto cseq = invite.cseq().value_or(CSeq{});
-    ack.addHeader("CSeq", CSeq{cseq.number, Method::Ack}.toString());
+    ack.addHeader("Call-ID", invite.callId);
+    ack.addHeader("CSeq", CSeq{invite.cseq, Method::Ack}.toString());
     return ack;
 }
 

@@ -47,10 +47,11 @@ SipMessage buildResponse(const SipMessage &req, int status,
                          std::optional<SipUri> contact = std::nullopt);
 
 /**
- * Build the ACK for a final response to @p invite (2xx ACK: new branch
- * supplied by the caller; non-2xx ACK reuses the INVITE branch).
+ * Build the ACK for a final response to the INVITE built from
+ * @p invite (2xx ACK: new branch supplied by the caller; non-2xx ACK
+ * reuses the INVITE branch).
  */
-SipMessage buildAck(const SipMessage &invite, const SipMessage &final,
+SipMessage buildAck(const RequestSpec &invite, const SipMessage &final,
                     const std::string &branch);
 
 /** A small realistic SDP body for INVITE/200 OK. */

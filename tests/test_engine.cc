@@ -85,8 +85,8 @@ class EngineTest : public ::testing::Test
         return sip::buildRequest(spec);
     }
 
-    sip::SipMessage
-    inviteMsg(const std::string &branch = "z9hG4bK-inv-1")
+    sip::RequestSpec
+    inviteSpec(const std::string &branch = "z9hG4bK-inv-1")
     {
         sip::RequestSpec spec;
         spec.method = sip::Method::Invite;
@@ -99,7 +99,13 @@ class EngineTest : public ::testing::Test
         spec.viaSentBy = sip::uriForAddr("", aliceAddr);
         spec.branch = branch;
         spec.contact = sip::uriForAddr("alice", aliceAddr);
-        return sip::buildRequest(spec);
+        return spec;
+    }
+
+    sip::SipMessage
+    inviteMsg(const std::string &branch = "z9hG4bK-inv-1")
+    {
+        return sip::buildRequest(inviteSpec(branch));
     }
 
     sim::Simulation sim;
@@ -256,7 +262,7 @@ TEST_F(EngineTest, AckForUnknownTransactionRoutedByUri)
     sip::SipMessage invite = inviteMsg();
     sip::SipMessage ok = sip::buildResponse(invite, 200, "bt");
     sip::SipMessage ack =
-        sip::buildAck(invite, ok, "z9hG4bK-ack-1");
+        sip::buildAck(inviteSpec(), ok, "z9hG4bK-ack-1");
     ack.setRequestUri(sip::uriForAddr("bob", bobAddr));
     auto actions = handle(ack.serialize(), aliceAddr);
     // 2xx ACK: forwarded end-to-end, no local reply.
@@ -335,7 +341,7 @@ TEST_F(EngineTest, AuthNeverChallengesAck)
     registerBob(); // challenged REGISTER is fine for this test
     sip::SipMessage invite = inviteMsg();
     sip::SipMessage ok = sip::buildResponse(invite, 200, "bt");
-    sip::SipMessage ack = sip::buildAck(invite, ok, "z9hG4bK-a1");
+    sip::SipMessage ack = sip::buildAck(inviteSpec(), ok, "z9hG4bK-a1");
     ack.setRequestUri(sip::uriForAddr("bob", bobAddr));
     auto actions = handle(ack.serialize(), aliceAddr);
     // Forwarded (or dropped on routing), but never 401'd.

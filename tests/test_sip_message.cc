@@ -194,7 +194,7 @@ TEST(BuildersTest, AckReferencesInviteAndFinal)
 {
     SipMessage req = buildRequest(inviteSpec());
     SipMessage ok = buildResponse(req, 200, "bt1");
-    SipMessage ack = buildAck(req, ok, "z9hG4bK-ack-1");
+    SipMessage ack = buildAck(inviteSpec(), ok, "z9hG4bK-ack-1");
     EXPECT_EQ(ack.method(), Method::Ack);
     EXPECT_EQ(ack.callId(), req.callId());
     ASSERT_TRUE(ack.cseq());
@@ -220,7 +220,7 @@ TEST(TransactionKeyTest, AckMatchesInviteTransaction)
     SipMessage req = buildRequest(inviteSpec());
     SipMessage rsp = buildResponse(req, 404);
     // Non-2xx ACK reuses the INVITE branch.
-    SipMessage ack = buildAck(req, rsp, req.topVia()->branch);
+    SipMessage ack = buildAck(inviteSpec(), rsp, req.topVia()->branch);
     auto k_inv = transactionKey(req);
     auto k_ack = transactionKey(ack);
     ASSERT_TRUE(k_ack);

@@ -37,6 +37,9 @@ footprint needs its own gate. The per-phone footprint (the growth of
 peak RSS between two UDP fleet sizes, phone_footprint.kb_per_phone) is
 gated the same way: it is what sets the RSS of the 100k-phone rung,
 and the whole-process peak above hides it behind the 100k-AOR cluster.
+So is its coroutine-frame part (the growth of the fleets'
+mem.framePoolPeakBytes per phone added, phone_footprint.
+frame_kb_per_phone), which no allocator or page-size noise blurs.
 
 Micros present in only one file are reported but never fail the run,
 so adding a new benchmark does not require regenerating the baseline
@@ -149,17 +152,17 @@ def main():
         row("peak_rss_kb", float(ref_rss), float(got_rss),
             ref_rss * (1.0 + RSS_SLACK))
 
-    def per_phone(doc, section):
-        return doc.get(section, {}).get("phone_footprint", {}).get(
-            "kb_per_phone")
+    def per_phone(doc, section, key):
+        return doc.get(section, {}).get("phone_footprint", {}).get(key)
 
-    got_kb = per_phone(fresh, "current")
-    ref_kb = max((v for v in (per_phone(checked, s)
-                              for s in ("baseline", "current"))
-                  if v is not None), default=0.0)
-    if got_kb is not None and ref_kb > 0:
-        row("phone_footprint.kb_per_phone", ref_kb, got_kb,
-            ref_kb * (1.0 + RSS_SLACK))
+    for key in ("kb_per_phone", "frame_kb_per_phone"):
+        got_kb = per_phone(fresh, "current", key)
+        ref_kb = max((v for v in (per_phone(checked, s, key)
+                                  for s in ("baseline", "current"))
+                      if v is not None), default=0.0)
+        if got_kb is not None and ref_kb > 0:
+            row(f"phone_footprint.{key}", ref_kb, got_kb,
+                ref_kb * (1.0 + RSS_SLACK))
 
     if failures:
         print(f"\ncheck_perf: {len(failures)} regression(s) over "
